@@ -13,7 +13,7 @@ import time
 from repro.observability.regression import (
     gate_against_baseline,
     load_snapshot,
-    snapshot_closedloop,
+    snapshot,
     snapshot_path,
 )
 from repro.runtime.sov import obstacle_ahead_scenario
@@ -62,7 +62,8 @@ def test_committed_baseline_gates_current_build(benchmark):
     repo_root = pathlib.Path(__file__).parent.parent
     baseline = load_snapshot(snapshot_path("closedloop", str(repo_root)))
     current = benchmark.pedantic(
-        snapshot_closedloop,
+        snapshot,
+        args=("closedloop",),
         kwargs=dict(seed=baseline.seed, duration_s=baseline.duration_s),
         iterations=1,
         rounds=1,
@@ -75,7 +76,7 @@ def test_committed_baseline_gates_current_build(benchmark):
 
 
 def test_snapshot_wall_clock_metric_is_reported():
-    snap = snapshot_closedloop(seed=_SEED, duration_s=2.0)
+    snap = snapshot("closedloop", seed=_SEED, duration_s=2.0)
     assert snap.metrics["wall_s_per_tick"] > 0
     # Sanity: simulated latency dwarfs real compute by orders of magnitude.
     assert snap.metrics["wall_s_per_tick"] < snap.metrics["latency_mean_s"]

@@ -20,10 +20,10 @@ frame* instead of only in aggregate:
   planning), to any active fault, and to the degradation mode + shed
   decision in force, so chaos campaigns report *causes*, not just rates.
 * :mod:`repro.observability.regression` — seeded benchmark snapshots
-  (``BENCH_<name>.json``) and a perf-regression gate over three seeded
-  workloads: the closed loop (mean/p99 latency), the chaos campaign
-  (safety envelope), and the pipelined scheduler (throughput, gated
-  downward); the ``bench-gate`` CLI
+  (``BENCH_<name>.json``) and a perf-regression gate over the eight
+  seeded workloads of its ``WORKLOADS`` table: the closed loop, the
+  chaos, fleet, procgen, and triage campaigns, the pipelined scheduler,
+  telemetry ingest, and the batched stepper; the ``bench-gate`` CLI
   (:mod:`repro.observability.bench_gate`) wraps it for CI.
 
 Everything is opt-in: with no tracer/attributor attached the SoV loop
@@ -40,13 +40,12 @@ from .attribution import (
 )
 from .metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
 from .regression import (
+    WORKLOADS,
     BenchmarkSnapshot,
     GateReport,
     gate_against_baseline,
     load_snapshot,
-    snapshot_chaos,
-    snapshot_closedloop,
-    snapshot_scheduler,
+    snapshot,
     write_snapshot,
 )
 from .tracing import FrameTrace, Span, Tracer, validate_chrome_trace
@@ -64,13 +63,12 @@ __all__ = [
     "Span",
     "StreamingHistogram",
     "Tracer",
+    "WORKLOADS",
     "default_deadline_budget_s",
     "gate_against_baseline",
     "load_snapshot",
     "merge_attribution_tables",
-    "snapshot_chaos",
-    "snapshot_closedloop",
-    "snapshot_scheduler",
+    "snapshot",
     "validate_chrome_trace",
     "write_snapshot",
 ]

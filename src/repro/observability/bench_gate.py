@@ -2,67 +2,46 @@
 
 Usage::
 
-    # Record (or refresh) an accepted baseline:
-    python -m repro.observability.bench_gate snapshot --workload closedloop
+    # Record (or refresh) an accepted baseline for any workload of the
+    # WORKLOADS table; --param K=V overrides one of its default params:
     python -m repro.observability.bench_gate snapshot --workload chaos
-    python -m repro.observability.bench_gate snapshot --workload scheduler
-    python -m repro.observability.bench_gate snapshot --workload ingest
-    python -m repro.observability.bench_gate snapshot --workload fleet
-    python -m repro.observability.bench_gate snapshot --workload procgen
-    python -m repro.observability.bench_gate snapshot --workload triage
-    python -m repro.observability.bench_gate snapshot --workload batched
+    python -m repro.observability.bench_gate snapshot --workload scheduler \
+        --param n_frames=80 --out /tmp/BENCH_scheduler.json
 
-    # CI: re-run the seeded workload named by the baseline, fail on any
+    # CI: re-run the seeded workload each baseline names, fail on any
     # gated-metric regression, and (closed loop only) export the drive's
     # Perfetto trace as a build artifact:
     python -m repro.observability.bench_gate check \
-        --baseline BENCH_closedloop.json --trace closedloop_trace.json
-    python -m repro.observability.bench_gate check --baseline BENCH_chaos.json
-    python -m repro.observability.bench_gate check --baseline BENCH_scheduler.json
-    python -m repro.observability.bench_gate check --baseline BENCH_ingest.json
-    python -m repro.observability.bench_gate check --baseline BENCH_fleet.json
-    python -m repro.observability.bench_gate check --baseline BENCH_procgen.json
-    python -m repro.observability.bench_gate check --baseline BENCH_triage.json
-    python -m repro.observability.bench_gate check --baseline BENCH_batched.json
+        --baseline BENCH_*.json --trace closedloop_trace.json
 
-``check`` reads the workload to replay from the baseline snapshot itself
-and exits non-zero when any gated metric regresses beyond its tolerance
-or the workload changed shape (different tick/sample/drive counts).
+``check`` reads the workload to replay from each baseline snapshot
+itself and exits non-zero when any gated metric regresses beyond its
+tolerance or a workload changed shape (different tick/sample/drive
+counts).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Tuple
 
 from .regression import (
-    BATCHED_WORKLOAD_DURATION_S,
-    CHAOS_WORKLOAD_DRIVES,
-    FLEET_WORKLOAD_CELLS,
-    FLEET_WORKLOAD_WORKERS,
-    INGEST_WORKLOAD_LOGS,
-    INGEST_WORKLOAD_VEHICLES,
-    PROCGEN_WORKLOAD_CELLS,
-    PROCGEN_WORKLOAD_WORKERS,
-    SCHEDULER_WORKLOAD_FRAMES,
-    TRIAGE_WORKLOAD_CHAOS,
-    TRIAGE_WORKLOAD_PROCGEN,
-    TRIAGE_WORKLOAD_REPLICAS,
-    WORKLOAD_TOLERANCES,
+    WORKLOADS,
     gate_against_baseline,
     load_snapshot,
-    snapshot_chaos,
-    snapshot_closedloop,
-    snapshot_fleet,
-    snapshot_ingest,
-    snapshot_batched,
+    resolve_params,
+    snapshot,
     snapshot_path,
-    snapshot_procgen,
-    snapshot_scheduler,
-    snapshot_triage,
     write_snapshot,
 )
 from .tracing import Tracer
+
+
+def param(text: str) -> Tuple[str, float]:
+    """Parse one ``--param K=V`` override."""
+    key, _, value = text.partition("=")
+    return key, float(value)
 
 
 def main(argv=None) -> int:
@@ -75,7 +54,7 @@ def main(argv=None) -> int:
     snap = sub.add_parser("snapshot", help="write BENCH_<name>.json")
     snap.add_argument(
         "--workload",
-        choices=sorted(WORKLOAD_TOLERANCES),
+        choices=sorted(WORKLOADS),
         default="closedloop",
         help="which seeded workload to snapshot",
     )
@@ -84,71 +63,19 @@ def main(argv=None) -> int:
     )
     snap.add_argument("--seed", type=int, default=0)
     snap.add_argument(
-        "--duration",
-        type=float,
-        default=12.0,
-        help="closed-loop drive duration (closedloop workload only)",
-    )
-    snap.add_argument(
-        "--drives",
-        type=int,
-        default=CHAOS_WORKLOAD_DRIVES,
-        help="campaign size (chaos and batched workloads)",
-    )
-    snap.add_argument(
-        "--frames",
-        type=int,
-        default=SCHEDULER_WORKLOAD_FRAMES,
-        help="pipeline frames (scheduler workload only)",
-    )
-    snap.add_argument(
-        "--vehicles",
-        type=int,
-        default=INGEST_WORKLOAD_VEHICLES,
-        help="fleet size (ingest workload only)",
-    )
-    snap.add_argument(
-        "--logs",
-        type=int,
-        default=INGEST_WORKLOAD_LOGS,
-        help="realtime logs per vehicle (ingest workload only)",
-    )
-    snap.add_argument(
-        "--cells",
-        type=int,
-        default=None,
-        help="campaign cells (fleet and procgen workloads)",
-    )
-    snap.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-pool size (fleet and procgen workloads)",
-    )
-    snap.add_argument(
-        "--replicas",
-        type=int,
-        default=TRIAGE_WORKLOAD_REPLICAS,
-        help="flake-protocol replicas (triage workload only)",
+        "--param",
+        type=param,
+        action="append",
+        default=[],
+        metavar="K=V",
+        help="override one of the workload's params (repeatable)",
     )
     snap.add_argument(
         "--out", default=None, help="output path (default BENCH_<name>.json)"
     )
 
-    check = sub.add_parser("check", help="gate a run against a baseline")
-    check.add_argument("--baseline", required=True)
-    check.add_argument(
-        "--mean-tol",
-        type=float,
-        default=None,
-        help="override the relative tolerance on mean latency",
-    )
-    check.add_argument(
-        "--p99-tol",
-        type=float,
-        default=None,
-        help="override the relative tolerance on p99 latency",
-    )
+    check = sub.add_parser("check", help="gate runs against baselines")
+    check.add_argument("--baseline", nargs="+", required=True)
     check.add_argument(
         "--trace",
         default=None,
@@ -159,88 +86,40 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "snapshot":
-        name = args.name or args.workload
-        if args.workload == "chaos":
-            snapshot = snapshot_chaos(
-                name=name, seed=args.seed, n_drives=args.drives
-            )
-        elif args.workload == "scheduler":
-            snapshot = snapshot_scheduler(
-                name=name, seed=args.seed, n_frames=args.frames
-            )
-        elif args.workload == "ingest":
-            snapshot = snapshot_ingest(
-                name=name,
-                seed=args.seed,
-                n_vehicles=args.vehicles,
-                logs_per_vehicle=args.logs,
-            )
-        elif args.workload == "fleet":
-            snapshot = snapshot_fleet(
-                name=name,
-                seed=args.seed,
-                n_cells=args.cells or FLEET_WORKLOAD_CELLS,
-                n_workers=args.workers or FLEET_WORKLOAD_WORKERS,
-            )
-        elif args.workload == "procgen":
-            snapshot = snapshot_procgen(
-                name=name,
-                seed=args.seed,
-                n_cells=args.cells or PROCGEN_WORKLOAD_CELLS,
-                n_workers=args.workers or PROCGEN_WORKLOAD_WORKERS,
-            )
-        elif args.workload == "batched":
-            snapshot = snapshot_batched(
-                name=name,
-                seed=args.seed,
-                n_drives=args.drives,
-                duration_s=BATCHED_WORKLOAD_DURATION_S,
-            )
-        elif args.workload == "triage":
-            snapshot = snapshot_triage(
-                name=name,
-                seed=args.seed,
-                n_chaos=TRIAGE_WORKLOAD_CHAOS,
-                n_procgen=TRIAGE_WORKLOAD_PROCGEN,
-                n_replicas=args.replicas,
-            )
-        else:
-            snapshot = snapshot_closedloop(
-                name=name, seed=args.seed, duration_s=args.duration
-            )
-        out = args.out or snapshot_path(name)
-        write_snapshot(snapshot, out)
-        print(f"wrote {out} (workload: {snapshot.workload})")
-        for metric in sorted(snapshot.metrics):
-            print(f"  {metric} = {snapshot.metrics[metric]:.6g}")
+        try:
+            params = resolve_params(args.workload, dict(args.param))
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        result = snapshot(args.workload, args.seed, name=args.name, **params)
+        out = args.out or snapshot_path(result.name)
+        write_snapshot(result, out)
+        print(f"wrote {out} (workload: {result.workload})")
+        for metric in sorted(result.metrics):
+            print(f"  {metric} = {result.metrics[metric]:.6g}")
         return 0
 
-    baseline = load_snapshot(args.baseline)
-    if args.trace and baseline.workload != "closedloop":
+    baselines = [load_snapshot(path) for path in args.baseline]
+    traced = next((b for b in baselines if b.workload == "closedloop"), None)
+    if args.trace and traced is None:
         print(
             f"--trace only applies to closedloop baselines "
-            f"(got {baseline.workload!r})",
+            f"(got {sorted({b.workload for b in baselines})})",
             file=sys.stderr,
         )
         return 2
-    tolerances = None
-    if args.mean_tol is not None or args.p99_tol is not None:
-        tolerances = dict(
-            WORKLOAD_TOLERANCES.get(
-                baseline.workload, WORKLOAD_TOLERANCES["closedloop"]
-            )
-        )
-        if args.mean_tol is not None:
-            tolerances["latency_mean_s"] = args.mean_tol
-        if args.p99_tol is not None:
-            tolerances["latency_p99_s"] = args.p99_tol
-    tracer = Tracer(name=baseline.name) if args.trace else None
-    report = gate_against_baseline(baseline, tolerances=tolerances, tracer=tracer)
-    if tracer is not None:
-        tracer.export_json(args.trace)
-        print(f"trace written to {args.trace} (open in Perfetto)")
-    print(report.format_report())
-    return 0 if report.ok else 1
+    ok = True
+    for baseline in baselines:
+        tracer = None
+        if args.trace and baseline is traced:
+            tracer = Tracer(name=baseline.name)
+        report = gate_against_baseline(baseline, tracer=tracer)
+        if tracer is not None:
+            tracer.export_json(args.trace)
+            print(f"trace written to {args.trace} (open in Perfetto)")
+        print(report.format_report())
+        ok = ok and report.ok
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -2,20 +2,21 @@
 
 The ROADMAP's north star ("as fast as the hardware allows") needs a
 trajectory: every perf PR must prove it did not regress the loop.  The
-mechanism is a *snapshot → gate* pair:
+mechanism is a *snapshot → gate* pair over the :data:`WORKLOADS` table:
 
-1. :func:`snapshot_closedloop` runs a fully seeded closed-loop drive and
-   collects its latency distribution (mean/p99/best/worst) plus the
-   operational counters — all deterministic per seed — and a wall-clock
-   per-tick cost (informational; machine-dependent, not gated).
+1. :func:`snapshot` runs one fully seeded workload and flattens it to
+   numeric metrics — simulated ones deterministic per seed, plus the
+   wall-clock costs of the run (machine-dependent).
 2. :func:`write_snapshot` persists it as ``BENCH_<name>.json`` (committed
    to the repo as the accepted baseline).
-3. :func:`gate_against_baseline` re-runs the same seeded workload and
-   fails when a gated metric regresses beyond its tolerance.
+3. :func:`gate_against_baseline` re-runs the workload a baseline names
+   and fails when a gated metric regresses beyond its tolerance or a
+   shape key (the size of the workload itself) changes.
 
-Simulated-latency metrics are bit-stable per seed, so their tolerance
-exists only to absorb *intentional* recalibrations: an unintentional
-change of the sampled distribution trips the gate immediately.  The
+Simulated metrics are bit-stable per seed, so their tolerance exists
+only to absorb *intentional* recalibrations: an unintentional change of
+the sampled distribution trips the gate immediately.  Adding a workload
+is one :class:`Workload` entry plus its committed baseline.  The
 ``bench-gate`` CLI (:mod:`repro.observability.bench_gate`) wraps this
 for CI.
 """
@@ -25,131 +26,37 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
-
-#: Metrics the gate checks, with their default relative tolerances.
-#: Latency metrics regress *upward*; the gate is one-sided.
-DEFAULT_TOLERANCES: Dict[str, float] = {
-    "latency_mean_s": 0.05,
-    "latency_p99_s": 0.10,
-}
-
-#: Per-workload gated metrics and tolerances.  All simulated metrics are
-#: bit-stable per seed; nonzero tolerances exist only to absorb
-#: *intentional* recalibrations.
-WORKLOAD_TOLERANCES: Dict[str, Dict[str, float]] = {
-    "closedloop": DEFAULT_TOLERANCES,
-    # The chaos-campaign workload gates the safety envelope itself: a
-    # single leaked collision or new deadline miss fails immediately.
-    "chaos": {
-        "collision_rate": 0.0,
-        "safe_stop_rate": 0.0,
-        "deadline_misses": 0.0,
-    },
-    # The scheduler workload gates sustained pipeline throughput
-    # (downward) alongside per-frame service latency (upward).
-    "scheduler": {
-        "throughput_hz": 0.05,
-        "latency_mean_s": 0.05,
-        "latency_p99_s": 0.10,
-    },
-    # The ingest workload gates the telemetry pipeline's delivery
-    # guarantee exactly (no realtime loss, no post-dedup duplicates,
-    # ever) alongside fleet throughput (downward) and p99 ingest
-    # latency (upward).
-    "ingest": {
-        "throughput_logs_per_s": 0.05,
-        "ingest_p99_s": 0.10,
-        "realtime_delivery_rate": 0.0,
-        "post_dedup_duplicates": 0.0,
-    },
-    # The fleet workload gates the campaign engine's exactly-once
-    # accounting at zero tolerance (a lost or duplicated cell is a
-    # correctness bug, never noise) and the measured envelope exactly,
-    # alongside campaign throughput (downward, generous tolerance —
-    # wall-clock on shared CI is noisy; the correctness gates are the
-    # sharp ones).
-    "fleet": {
-        "cells_per_s": 0.5,
-        "lost_cells": 0.0,
-        "duplicate_cells": 0.0,
-        "failed_cells": 0.0,
-        "collision_rate": 0.0,
-        "deadline_misses": 0.0,
-    },
-    # The procgen workload sweeps generated scenarios through the fleet
-    # engine and the invariant harness: the invariant verdict, the
-    # exactly-once accounting, and the safety envelope gate at zero
-    # tolerance, and the scene_fingerprint shape invariant (below)
-    # pins scene generation bit for bit — any change to the generator's
-    # draws fails the gate as a shape change, not a tolerance miss.
-    "procgen": {
-        "cells_per_s": 0.5,
-        "violations": 0.0,
-        "lost_cells": 0.0,
-        "duplicate_cells": 0.0,
-        "failed_cells": 0.0,
-        "collision_rate": 0.0,
-    },
-    # The triage workload gates the failure-triage contracts: every
-    # minimized counterexample must still violate and every corpus
-    # record must replay bit-identically (both zero tolerance,
-    # regressing downward), the mean shrink reduction must not decay,
-    # and nothing may land in quarantine.  Shrink throughput gates
-    # downward with a generous tolerance (wall-clock on shared CI).
-    "triage": {
-        "mean_reduction_ratio": 0.0,
-        "minimized_still_violates_rate": 0.0,
-        "corpus_replay_pass_rate": 0.0,
-        "corpus_quarantined": 0.0,
-        "shrink_evals_per_s": 0.5,
-    },
-    # The batched workload races the batched multi-drive stepper against
-    # the serial engine on the same N corridor drives.  Equivalence gates
-    # at zero tolerance (one diverging drive fingerprint fails
-    # immediately — the stepper's whole contract is bit-identity), and
-    # the measured speedup gates *downward* with a generous tolerance
-    # (wall-clock ratios on shared CI are noisy; losing half the
-    # vectorization win is still a regression worth failing on).
-    "batched": {
-        "fingerprint_mismatches": 0.0,
-        "collisions": 0.0,
-        "speedup": 0.5,
-    },
-}
-
-#: Which way each gated metric regresses.  Default is "upper" (bigger is
-#: worse — latencies, rates, misses); "lower" metrics regress downward
-#: (throughput).
-DEFAULT_DIRECTIONS: Dict[str, str] = {
-    "throughput_hz": "lower",
-    "throughput_logs_per_s": "lower",
-    "realtime_delivery_rate": "lower",
-    "cells_per_s": "lower",
-    "mean_reduction_ratio": "lower",
-    "minimized_still_violates_rate": "lower",
-    "corpus_replay_pass_rate": "lower",
-    "shrink_evals_per_s": "lower",
-    "speedup": "lower",
-}
-
-#: Workload-shape invariants: when present in both snapshots these must
-#: match exactly, otherwise the gate is comparing different workloads.
-SHAPE_INVARIANTS = (
-    "latency_samples",
-    "control_ticks",
-    "n_drives",
-    "frames",
-    "n_logs",
-    "n_cells",
-    "scene_fingerprint",
-    "n_violations",
-    "shrink_evaluations",
-    "corpus_records",
-)
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 #: Snapshot format version (bump on incompatible metric renames).
 SNAPSHOT_VERSION = 1
+
+
+class Gate(NamedTuple):
+    """How one gated metric regresses: by more than *tolerance* (relative)."""
+
+    tolerance: float
+    #: "upper" metrics regress when they grow (latencies, rates, misses);
+    #: "lower" metrics when they shrink (throughput, pass rates).
+    direction: str = "upper"
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One seeded bench workload: how to run it and what the gate checks."""
+
+    #: ``run(seed, **params) -> (duration_s, metrics)``.  Runners import
+    #: their subsystem lazily: this module loads with every
+    #: ``repro.observability`` import, so it stays standard-library only.
+    run: Callable[..., Tuple[float, Dict[str, float]]]
+    #: Default params; an ``int`` default makes the param integral.  A
+    #: ``duration_s`` param is stored as the snapshot's top-level
+    #: ``duration_s``, never in its ``params``.
+    params: Mapping[str, float]
+    gated: Mapping[str, Gate]
+    #: Metrics that must match the baseline exactly (and be present in
+    #: both runs), otherwise the gate is comparing different workloads.
+    shape: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -203,39 +110,33 @@ def load_snapshot(path: str) -> BenchmarkSnapshot:
             f"this code reads version {SNAPSHOT_VERSION}"
         )
     workload = data.get("workload", "closedloop")
-    if workload not in WORKLOAD_TOLERANCES:
-        raise ValueError(
-            f"snapshot {path!r} names unknown workload {workload!r}; "
-            f"known: {sorted(WORKLOAD_TOLERANCES)}"
-        )
+    params = {k: float(v) for k, v in data.get("params", {}).items()}
+    try:
+        resolve_params(workload, params)
+    except ValueError as exc:
+        raise ValueError(f"snapshot {path!r}: {exc}") from None
     return BenchmarkSnapshot(
         name=data["name"],
         seed=int(data["seed"]),
         duration_s=float(data["duration_s"]),
         metrics={k: float(v) for k, v in data["metrics"].items()},
         workload=workload,
-        params={k: float(v) for k, v in data.get("params", {}).items()},
+        params=params,
     )
 
 
-def snapshot_closedloop(
-    name: str = "closedloop",
-    seed: int = 0,
-    duration_s: float = 12.0,
-    obstacle_distance_m: float = 30.0,
-    tracer=None,
-) -> BenchmarkSnapshot:
-    """Run the seeded reference drive and collect its metrics.
+def _closedloop(seed: int, duration_s: float, tracer=None):
+    """The seeded reference drive.
 
-    The workload is the Eq. 1 drill corridor with the obstacle far
-    enough that a nominal drive brakes cleanly: a stable, fully seeded
-    exercise of perception, planning, CAN, and actuation.  Pass a
-    :class:`~repro.observability.tracing.Tracer` to also capture the
+    The workload is the Eq. 1 drill corridor with the obstacle (30 m)
+    far enough that a nominal drive brakes cleanly: a stable, fully
+    seeded exercise of perception, planning, CAN, and actuation.  A
+    :class:`~repro.observability.tracing.Tracer` also captures the
     drive's Perfetto trace (CI uploads it as an artifact).
     """
     from ..runtime.sov import obstacle_ahead_scenario
 
-    sov = obstacle_ahead_scenario(obstacle_distance_m, seed=seed)
+    sov = obstacle_ahead_scenario(30.0, seed=seed)
     sov.enable_attribution()
     if tracer is not None:
         sov.attach_tracer(tracer)
@@ -262,30 +163,15 @@ def snapshot_closedloop(
     }
     for stage in sorted(latency.stages_s):
         metrics[f"latency_stage_{stage}_mean_s"] = latency.stage_mean_s(stage)
-    return BenchmarkSnapshot(
-        name=name, seed=seed, duration_s=duration_s, metrics=metrics
-    )
+    return duration_s, metrics
 
 
-#: The chaos workload's campaign shape: a compact seeded sweep down the
-#: slalom corridor, big enough that a leaked collision or attribution
-#: drift shows, small enough to gate every CI run.
-CHAOS_WORKLOAD_DRIVES = 16
-CHAOS_WORKLOAD_CORRIDOR = "slalom"
+def _chaos(seed: int, n_drives: int):
+    """Chaos-sampled fault scenarios down the ``slalom`` corridor.
 
-
-def snapshot_chaos(
-    name: str = "chaos",
-    seed: int = 0,
-    n_drives: int = CHAOS_WORKLOAD_DRIVES,
-) -> BenchmarkSnapshot:
-    """Run the seeded chaos-campaign workload and collect its envelope.
-
-    The workload drives *n_drives* chaos-sampled fault scenarios down
-    the ``slalom`` corridor with the full safety net engaged.  Envelope
-    metrics (collision/SAFE_STOP rates, deadline misses, residency) are
-    bit-stable per seed and gated; the campaign's wall-clock cost is
-    reported per drive (machine-dependent, never gated).
+    The full safety net is engaged.  Envelope metrics (collision/
+    SAFE_STOP rates, deadline misses, residency) are bit-stable per
+    seed; the campaign's wall-clock cost is reported per drive.
     """
     from ..robustness.chaos import ChaosConfig, run_chaos_campaign
 
@@ -293,12 +179,12 @@ def snapshot_chaos(
         n_drives=n_drives,
         seed=seed,
         safety_net=True,
-        corridor=CHAOS_WORKLOAD_CORRIDOR,
+        corridor="slalom",
     )
     started = time.perf_counter()
     envelope = run_chaos_campaign(config).envelope
     wall_s = time.perf_counter() - started
-    metrics: Dict[str, float] = {
+    return config.duration_s, {
         "n_drives": float(envelope.n_drives),
         "collision_rate": envelope.collision_rate,
         "safe_stop_rate": envelope.safe_stop_rate,
@@ -310,32 +196,14 @@ def snapshot_chaos(
         "wall_s_total": wall_s,
         "wall_s_per_drive": wall_s / n_drives,
     }
-    return BenchmarkSnapshot(
-        name=name,
-        seed=seed,
-        duration_s=config.duration_s,
-        metrics=metrics,
-        workload="chaos",
-        params={"n_drives": float(n_drives)},
-    )
 
 
-#: The scheduler workload's shape: enough frames that the sustained
-#: throughput estimate is stable to well under the gate tolerance.
-SCHEDULER_WORKLOAD_FRAMES = 400
+def _scheduler(seed: int, n_frames: int):
+    """*n_frames* through the pipelined executor (paper Sec. IV).
 
-
-def snapshot_scheduler(
-    name: str = "scheduler",
-    seed: int = 0,
-    n_frames: int = SCHEDULER_WORKLOAD_FRAMES,
-) -> BenchmarkSnapshot:
-    """Run the seeded pipelined-executor workload (paper Sec. IV).
-
-    Replays *n_frames* through the sensing -> perception -> planning
-    pipeline and gates sustained throughput (one-sided, *downward*)
-    together with per-frame service latency (upward) — the pair the
-    paper's pipelining argument balances.
+    Replays the sensing -> perception -> planning pipeline: sustained
+    throughput and per-frame service latency are the pair the paper's
+    pipelining argument balances.
     """
     from ..runtime.scheduler import PipelinedExecutor
 
@@ -356,37 +224,19 @@ def snapshot_scheduler(
     }
     for stage in sorted(stats.stages_s):
         metrics[f"latency_stage_{stage}_mean_s"] = stats.stage_mean_s(stage)
-    return BenchmarkSnapshot(
-        name=name,
-        seed=seed,
-        duration_s=n_frames / executor.frame_rate_hz,
-        metrics=metrics,
-        workload="scheduler",
-        params={"n_frames": float(n_frames)},
-    )
+    return n_frames / executor.frame_rate_hz, metrics
 
 
-#: The ingest workload's fleet shape: enough vehicles and logs that the
-#: sampled fault profiles cover every kind, small enough to gate CI.
-INGEST_WORKLOAD_VEHICLES = 6
-INGEST_WORKLOAD_LOGS = 10
-INGEST_WORKLOAD_METRICS = 10
-
-
-def snapshot_ingest(
-    name: str = "ingest",
-    seed: int = 0,
-    n_vehicles: int = INGEST_WORKLOAD_VEHICLES,
-    logs_per_vehicle: int = INGEST_WORKLOAD_LOGS,
-    metrics_per_vehicle: int = INGEST_WORKLOAD_METRICS,
-) -> BenchmarkSnapshot:
-    """Run the seeded fleet-telemetry ingest campaign (paper Sec. II-B).
+def _ingest(
+    seed: int,
+    n_vehicles: int,
+    logs_per_vehicle: int,
+    metrics_per_vehicle: int,
+):
+    """The fleet-telemetry ingest campaign (paper Sec. II-B).
 
     Every vehicle uplinks its condensed hourly logs across a seeded
-    lossy link into one shared ingestion service.  The gate holds the
-    delivery guarantee exactly — realtime delivery rate 1.0 and zero
-    post-dedup duplicates, both at 0% tolerance — alongside fleet
-    throughput (downward) and p99 ingest latency (upward).
+    lossy link into one shared ingestion service.
     """
     from ..cloud.ingestion import IngestCampaignConfig, run_ingest_campaign
 
@@ -400,7 +250,7 @@ def snapshot_ingest(
     result = run_ingest_campaign(config)
     wall_s = time.perf_counter() - started
     report = result.report
-    metrics: Dict[str, float] = {
+    return result.sim_span_s, {
         "n_logs": float(result.realtime_submitted),
         "throughput_logs_per_s": result.throughput_logs_per_s,
         "realtime_delivery_rate": result.realtime_delivery_rate,
@@ -415,42 +265,14 @@ def snapshot_ingest(
         # Informational only (machine-dependent): never gated.
         "wall_s_total": wall_s,
     }
-    return BenchmarkSnapshot(
-        name=name,
-        seed=seed,
-        duration_s=result.sim_span_s,
-        metrics=metrics,
-        workload="ingest",
-        params={
-            "n_vehicles": float(n_vehicles),
-            "logs_per_vehicle": float(logs_per_vehicle),
-            "metrics_per_vehicle": float(metrics_per_vehicle),
-        },
-    )
 
 
-#: The fleet workload's campaign shape: enough short drill-lane cells
-#: that worker scheduling genuinely interleaves, small enough to gate
-#: every CI run even with the worker pool running on one core.
-FLEET_WORKLOAD_CELLS = 24
-FLEET_WORKLOAD_WORKERS = 4
-FLEET_WORKLOAD_DURATION_S = 2.0
+def _fleet(seed: int, n_cells: int, n_workers: int):
+    """*n_cells* 2 s chaos cells across the supervised worker pool.
 
-
-def snapshot_fleet(
-    name: str = "fleet",
-    seed: int = 0,
-    n_cells: int = FLEET_WORKLOAD_CELLS,
-    n_workers: int = FLEET_WORKLOAD_WORKERS,
-) -> BenchmarkSnapshot:
-    """Run the seeded fleet-campaign workload across the worker pool.
-
-    Drives *n_cells* chaos cells through the supervised fleet engine
-    (:mod:`repro.fleetops`) with journaling off (CI gates the resume
-    path separately).  Exactly-once accounting (zero lost, zero
-    duplicated, zero failed cells) and the measured safety envelope are
-    gated at zero tolerance — they are deterministic per seed; campaign
-    throughput in cells/sec gates downward with a generous tolerance.
+    Drives the fleet engine (:mod:`repro.fleetops`) with journaling off
+    (CI gates the resume path separately).  Exactly-once accounting and
+    the measured safety envelope are deterministic per seed.
     """
     from ..fleetops.campaign import (
         FleetCampaignConfig,
@@ -465,13 +287,12 @@ def snapshot_fleet(
             n_drives=n_cells,
             seed=seed,
             safety_net=True,
-            duration_s=FLEET_WORKLOAD_DURATION_S,
+            duration_s=2.0,
         ),
         fleet=FleetConfig(n_workers=n_workers, seed=seed),
     )
-    result = run_fleet_campaign(config)
-    flat = fleet_summary(result)
-    metrics: Dict[str, float] = {
+    flat = fleet_summary(run_fleet_campaign(config))
+    return config.chaos.duration_s, {
         "n_cells": flat["n_cells"],
         "cells_per_s": flat["cells_per_s"],
         "lost_cells": flat["lost_cells"],
@@ -490,43 +311,16 @@ def snapshot_fleet(
         "wall_s_total": flat["wall_s"],
         "wall_s_per_cell": flat["wall_s"] / max(1, n_cells),
     }
-    return BenchmarkSnapshot(
-        name=name,
-        seed=seed,
-        duration_s=FLEET_WORKLOAD_DURATION_S,
-        metrics=metrics,
-        workload="fleet",
-        params={
-            "n_cells": float(n_cells),
-            "n_workers": float(n_workers),
-        },
-    )
 
 
-#: The procgen workload's shape: enough generated cells that every
-#: topology family appears, small enough to gate every CI run with the
-#: scene-regeneration + drive-determinism double-check per cell.
-PROCGEN_WORKLOAD_CELLS = 12
-PROCGEN_WORKLOAD_WORKERS = 4
-
-
-def snapshot_procgen(
-    name: str = "procgen",
-    seed: int = 0,
-    n_cells: int = PROCGEN_WORKLOAD_CELLS,
-    n_workers: int = PROCGEN_WORKLOAD_WORKERS,
-) -> BenchmarkSnapshot:
-    """Run the seeded procedural-scenario workload (scene + invariants).
+def _procgen(seed: int, n_cells: int, n_workers: int):
+    """Generated scenes through the fleet engine and invariant harness.
 
     Sweeps *n_cells* scenes sampled from the default
-    :class:`~repro.scene.procgen.ProcGenSpace` through the fleet engine
-    with the full invariant harness (scene regeneration + the five drive
-    invariants per cell).  The invariant verdict, exactly-once
-    accounting, and collision rate gate at zero tolerance;
-    ``scene_fingerprint`` — the campaign-level CRC over every generated
-    scene — is a shape invariant, so the gate fails the moment scene
-    generation changes bit for bit.  Throughput in cells/sec gates
-    downward with a generous tolerance.
+    :class:`~repro.scene.procgen.ProcGenSpace` with the full harness
+    (scene regeneration + the five drive invariants per cell).
+    ``scene_fingerprint`` is the campaign-level CRC over every generated
+    scene.
     """
     from ..fleetops.campaign import procgen_summary, run_procgen_campaign
     from ..fleetops.supervisor import FleetConfig
@@ -537,7 +331,7 @@ def snapshot_procgen(
         fleet=FleetConfig(n_workers=n_workers, seed=seed),
     )
     flat = procgen_summary(result)
-    metrics: Dict[str, float] = {
+    return 0.0, {
         "n_cells": flat["n_cells"],
         "cells_per_s": flat["cells_per_s"],
         "violations": flat["violations"],
@@ -553,45 +347,15 @@ def snapshot_procgen(
         "wall_s_total": flat["wall_s"],
         "wall_s_per_cell": flat["wall_s"] / max(1, n_cells),
     }
-    return BenchmarkSnapshot(
-        name=name,
-        seed=seed,
-        duration_s=0.0,
-        metrics=metrics,
-        workload="procgen",
-        params={
-            "n_cells": float(n_cells),
-            "n_workers": float(n_workers),
-        },
-    )
 
 
-#: The triage workload's shape: the same seeded injection campaign the
-#: ``triage_campaign`` experiment runs — both arms contribute
-#: violations, both failure classes appear, and the whole loop
-#: (harvest, shrink, dedup, classify, file, replay) executes.
-TRIAGE_WORKLOAD_CHAOS = 12
-TRIAGE_WORKLOAD_PROCGEN = 10
-TRIAGE_WORKLOAD_REPLICAS = 4
-
-
-def snapshot_triage(
-    name: str = "triage",
-    seed: int = 0,
-    n_chaos: int = TRIAGE_WORKLOAD_CHAOS,
-    n_procgen: int = TRIAGE_WORKLOAD_PROCGEN,
-    n_replicas: int = TRIAGE_WORKLOAD_REPLICAS,
-) -> BenchmarkSnapshot:
-    """Run the seeded failure-triage workload end to end.
+def _triage(seed: int, n_chaos: int, n_procgen: int, n_replicas: int):
+    """The failure-triage loop end to end.
 
     Harvests injected violations across the chaos and procgen arms,
     delta-debugs each one, deduplicates by failure fingerprint,
     flake-classifies the survivors, files them in a throwaway corpus,
-    and replays it.  The triage contracts gate at zero tolerance —
-    every minimized cell still violates, every record replays
-    bit-identically — and the violation/evaluation counts are shape
-    invariants (they are deterministic per seed, so any drift means the
-    workload itself changed).  Shrink throughput gates downward.
+    and replays it.
     """
     import tempfile
 
@@ -610,7 +374,7 @@ def snapshot_triage(
     with tempfile.TemporaryDirectory() as corpus_dir:
         result = run_triage_campaign(config, corpus_dir=corpus_dir)
         flat = triage_summary(result)
-    metrics: Dict[str, float] = {
+    return 0.0, {
         "n_candidates": flat["n_candidates"],
         "n_violations": flat["n_violations"],
         "unique_failures": flat["unique_failures"],
@@ -630,33 +394,9 @@ def snapshot_triage(
         # Informational only (machine-dependent): never gated.
         "wall_s_total": flat["wall_s"],
     }
-    return BenchmarkSnapshot(
-        name=name,
-        seed=seed,
-        duration_s=0.0,
-        metrics=metrics,
-        workload="triage",
-        params={
-            "n_chaos": float(n_chaos),
-            "n_procgen": float(n_procgen),
-            "n_replicas": float(n_replicas),
-        },
-    )
 
 
-#: The batched workload's shape: one drive per corridor plus wrap-around
-#: repeats up to N, long enough that the stepper's lockstep/retirement
-#: machinery is exercised across heterogeneous scene durations.
-BATCHED_WORKLOAD_DRIVES = 16
-BATCHED_WORKLOAD_DURATION_S = 8.0
-
-
-def snapshot_batched(
-    name: str = "batched",
-    seed: int = 0,
-    n_drives: int = BATCHED_WORKLOAD_DRIVES,
-    duration_s: float = BATCHED_WORKLOAD_DURATION_S,
-) -> BenchmarkSnapshot:
+def _batched(seed: int, n_drives: int, duration_s: float):
     """Race the batched multi-drive stepper against the serial engine.
 
     Builds the same *n_drives* corridor drives twice (corridors cycled,
@@ -666,9 +406,8 @@ def snapshot_batched(
 
     * ``fingerprint_mismatches`` — drives whose
       :func:`~repro.testing.invariants.drive_fingerprint` diverged
-      between engines (the equivalence contract; gated at zero);
-    * ``speedup`` — aggregate ticks/s, batched over serial (gated
-      downward — the vectorization win must not silently erode);
+      between engines;
+    * ``speedup`` — aggregate ticks/s, batched over serial;
     * per-engine ticks/s plus wall-clock totals (informational).
     """
     from ..runtime.batched import drive_batch
@@ -701,7 +440,7 @@ def snapshot_batched(
         for a, b in zip(serial_results, batched_results)
     )
     ticks = sum(r.ops.control_ticks for r in serial_results)
-    metrics: Dict[str, float] = {
+    return duration_s, {
         "n_drives": float(n_drives),
         "control_ticks": float(ticks),
         "fingerprint_mismatches": float(mismatches),
@@ -715,103 +454,213 @@ def snapshot_batched(
         "wall_s_serial": serial_wall_s,
         "wall_s_batched": batched_wall_s,
     }
+
+
+#: Every seeded bench workload, keyed by the name its baselines carry.
+#: All simulated metrics are bit-stable per seed; nonzero tolerances on
+#: them exist only to absorb *intentional* recalibrations.  Wall-clock
+#: metrics (``cells_per_s``, ``shrink_evals_per_s``, ``speedup``) gate
+#: downward with a generous tolerance: shared CI is noisy, and the
+#: correctness gates are the sharp ones.
+WORKLOADS: Dict[str, Workload] = {
+    # The closed loop gates mean/p99 simulated latency (upward).
+    "closedloop": Workload(
+        run=_closedloop,
+        params={"duration_s": 12.0},
+        gated={"latency_mean_s": Gate(0.05), "latency_p99_s": Gate(0.10)},
+        shape=("latency_samples", "control_ticks"),
+    ),
+    # A compact seeded sweep, big enough that a leaked collision or
+    # attribution drift shows, small enough to gate every CI run.  It
+    # gates the safety envelope itself: a single leaked collision or new
+    # deadline miss fails immediately.
+    "chaos": Workload(
+        run=_chaos,
+        params={"n_drives": 16},
+        gated={
+            "collision_rate": Gate(0.0),
+            "safe_stop_rate": Gate(0.0),
+            "deadline_misses": Gate(0.0),
+        },
+        shape=("n_drives",),
+    ),
+    # Enough frames that the sustained throughput estimate is stable to
+    # well under its tolerance.  Throughput gates downward alongside
+    # per-frame service latency (upward).
+    "scheduler": Workload(
+        run=_scheduler,
+        params={"n_frames": 400},
+        gated={
+            "throughput_hz": Gate(0.05, "lower"),
+            "latency_mean_s": Gate(0.05),
+            "latency_p99_s": Gate(0.10),
+        },
+        shape=("frames",),
+    ),
+    # Enough vehicles and logs that the sampled fault profiles cover
+    # every kind.  The delivery guarantee gates exactly (no realtime
+    # loss, no post-dedup duplicates, ever) alongside fleet throughput
+    # (downward) and p99 ingest latency (upward).
+    "ingest": Workload(
+        run=_ingest,
+        params={
+            "n_vehicles": 6,
+            "logs_per_vehicle": 10,
+            "metrics_per_vehicle": 10,
+        },
+        gated={
+            "throughput_logs_per_s": Gate(0.05, "lower"),
+            "ingest_p99_s": Gate(0.10),
+            "realtime_delivery_rate": Gate(0.0, "lower"),
+            "post_dedup_duplicates": Gate(0.0),
+        },
+        shape=("n_logs",),
+    ),
+    # Enough short drill-lane cells that worker scheduling genuinely
+    # interleaves, even with the pool running on one core.  Exactly-once
+    # accounting gates at zero tolerance (a lost or duplicated cell is a
+    # correctness bug, never noise), as does the measured envelope.
+    "fleet": Workload(
+        run=_fleet,
+        params={"n_cells": 24, "n_workers": 4},
+        gated={
+            "cells_per_s": Gate(0.5, "lower"),
+            "lost_cells": Gate(0.0),
+            "duplicate_cells": Gate(0.0),
+            "failed_cells": Gate(0.0),
+            "collision_rate": Gate(0.0),
+            "deadline_misses": Gate(0.0),
+        },
+        shape=("n_cells",),
+    ),
+    # Enough generated cells that every topology family appears.  The
+    # invariant verdict, exactly-once accounting, and safety envelope
+    # gate at zero tolerance, and the scene_fingerprint shape key pins
+    # scene generation bit for bit — any change to the generator's draws
+    # fails as a shape change, not a tolerance miss.
+    "procgen": Workload(
+        run=_procgen,
+        params={"n_cells": 12, "n_workers": 4},
+        gated={
+            "cells_per_s": Gate(0.5, "lower"),
+            "violations": Gate(0.0),
+            "lost_cells": Gate(0.0),
+            "duplicate_cells": Gate(0.0),
+            "failed_cells": Gate(0.0),
+            "collision_rate": Gate(0.0),
+        },
+        shape=("n_cells", "scene_fingerprint"),
+    ),
+    # The seeded injection campaign of the ``triage_campaign``
+    # experiment: both arms contribute violations and both failure
+    # classes appear.  Every minimized counterexample must still violate
+    # and every corpus record must replay bit-identically; the mean
+    # shrink reduction must not decay; nothing may land in quarantine.
+    # The violation/evaluation/record counts are deterministic per seed.
+    "triage": Workload(
+        run=_triage,
+        params={"n_chaos": 12, "n_procgen": 10, "n_replicas": 4},
+        gated={
+            "mean_reduction_ratio": Gate(0.0, "lower"),
+            "minimized_still_violates_rate": Gate(0.0, "lower"),
+            "corpus_replay_pass_rate": Gate(0.0, "lower"),
+            "corpus_quarantined": Gate(0.0),
+            "shrink_evals_per_s": Gate(0.5, "lower"),
+        },
+        shape=("n_violations", "shrink_evaluations", "corpus_records"),
+    ),
+    # One drive per corridor plus wrap-around repeats, long enough that
+    # lockstep retirement is exercised across heterogeneous scene
+    # durations.  One diverging drive fingerprint fails immediately (the
+    # stepper's whole contract is bit-identity); losing half the
+    # vectorization win is still a regression worth failing on.
+    "batched": Workload(
+        run=_batched,
+        params={"n_drives": 16, "duration_s": 8.0},
+        gated={
+            "fingerprint_mismatches": Gate(0.0),
+            "collisions": Gate(0.0),
+            "speedup": Gate(0.5, "lower"),
+        },
+        shape=("control_ticks", "n_drives"),
+    ),
+}
+
+
+def _spec(workload: str) -> Workload:
+    if workload not in WORKLOADS:
+        raise ValueError(
+            f"unknown workload {workload!r}; known: {sorted(WORKLOADS)}"
+        )
+    return WORKLOADS[workload]
+
+
+def resolve_params(
+    workload: str, overrides: Mapping[str, float]
+) -> Dict[str, float]:
+    """*workload*'s default params updated by *overrides*, validated.
+
+    Raises ``ValueError`` for an unknown workload or param name, and for
+    a non-integral value of an integer param.
+    """
+    defaults = _spec(workload).params
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"workload {workload!r} has no param {', '.join(unknown)}; "
+            f"it takes: {', '.join(sorted(defaults))}"
+        )
+    params = dict(defaults)
+    for key, value in overrides.items():
+        kind = type(defaults[key])
+        if kind is int and not float(value).is_integer():
+            raise ValueError(
+                f"param {key} of workload {workload!r} must be an "
+                f"integer, got {value!r}"
+            )
+        params[key] = kind(value)
+    return params
+
+
+def snapshot(
+    workload: str,
+    seed: int = 0,
+    name: Optional[str] = None,
+    tracer=None,
+    **params: float,
+) -> BenchmarkSnapshot:
+    """Run one of the seeded :data:`WORKLOADS` and collect its metrics.
+
+    *params* override the workload's defaults.  Only ``closedloop`` takes
+    a *tracer*, which captures the drive's Perfetto trace.
+    """
+    resolved = resolve_params(workload, params)
+    traced = {} if tracer is None else {"tracer": tracer}
+    duration_s, metrics = WORKLOADS[workload].run(seed, **resolved, **traced)
     return BenchmarkSnapshot(
-        name=name,
+        name=name or workload,
         seed=seed,
         duration_s=duration_s,
         metrics=metrics,
-        workload="batched",
-        params={"n_drives": float(n_drives)},
+        workload=workload,
+        params={
+            k: float(v) for k, v in resolved.items() if k != "duration_s"
+        },
     )
 
 
 def run_workload(baseline: BenchmarkSnapshot, tracer=None) -> BenchmarkSnapshot:
     """Re-run the seeded workload a baseline snapshot describes."""
-    if baseline.workload == "closedloop":
-        return snapshot_closedloop(
-            name=baseline.name,
-            seed=baseline.seed,
-            duration_s=baseline.duration_s,
-            tracer=tracer,
-        )
-    if baseline.workload == "chaos":
-        return snapshot_chaos(
-            name=baseline.name,
-            seed=baseline.seed,
-            n_drives=int(
-                baseline.params.get("n_drives", CHAOS_WORKLOAD_DRIVES)
-            ),
-        )
-    if baseline.workload == "scheduler":
-        return snapshot_scheduler(
-            name=baseline.name,
-            seed=baseline.seed,
-            n_frames=int(
-                baseline.params.get("n_frames", SCHEDULER_WORKLOAD_FRAMES)
-            ),
-        )
-    if baseline.workload == "ingest":
-        return snapshot_ingest(
-            name=baseline.name,
-            seed=baseline.seed,
-            n_vehicles=int(
-                baseline.params.get("n_vehicles", INGEST_WORKLOAD_VEHICLES)
-            ),
-            logs_per_vehicle=int(
-                baseline.params.get("logs_per_vehicle", INGEST_WORKLOAD_LOGS)
-            ),
-            metrics_per_vehicle=int(
-                baseline.params.get(
-                    "metrics_per_vehicle", INGEST_WORKLOAD_METRICS
-                )
-            ),
-        )
-    if baseline.workload == "fleet":
-        return snapshot_fleet(
-            name=baseline.name,
-            seed=baseline.seed,
-            n_cells=int(
-                baseline.params.get("n_cells", FLEET_WORKLOAD_CELLS)
-            ),
-            n_workers=int(
-                baseline.params.get("n_workers", FLEET_WORKLOAD_WORKERS)
-            ),
-        )
-    if baseline.workload == "procgen":
-        return snapshot_procgen(
-            name=baseline.name,
-            seed=baseline.seed,
-            n_cells=int(
-                baseline.params.get("n_cells", PROCGEN_WORKLOAD_CELLS)
-            ),
-            n_workers=int(
-                baseline.params.get("n_workers", PROCGEN_WORKLOAD_WORKERS)
-            ),
-        )
-    if baseline.workload == "batched":
-        return snapshot_batched(
-            name=baseline.name,
-            seed=baseline.seed,
-            n_drives=int(
-                baseline.params.get("n_drives", BATCHED_WORKLOAD_DRIVES)
-            ),
-            duration_s=baseline.duration_s or BATCHED_WORKLOAD_DURATION_S,
-        )
-    if baseline.workload == "triage":
-        return snapshot_triage(
-            name=baseline.name,
-            seed=baseline.seed,
-            n_chaos=int(
-                baseline.params.get("n_chaos", TRIAGE_WORKLOAD_CHAOS)
-            ),
-            n_procgen=int(
-                baseline.params.get("n_procgen", TRIAGE_WORKLOAD_PROCGEN)
-            ),
-            n_replicas=int(
-                baseline.params.get("n_replicas", TRIAGE_WORKLOAD_REPLICAS)
-            ),
-        )
-    raise ValueError(f"unknown workload {baseline.workload!r}")
+    params = dict(baseline.params)
+    if "duration_s" in _spec(baseline.workload).params:
+        params["duration_s"] = baseline.duration_s
+    return snapshot(
+        baseline.workload,
+        baseline.seed,
+        name=baseline.name,
+        tracer=tracer,
+        **params,
+    )
 
 
 @dataclass(frozen=True)
@@ -866,21 +715,20 @@ class GateReport:
 def gate_metrics(
     baseline: Mapping[str, float],
     current: Mapping[str, float],
-    tolerances: Optional[Mapping[str, float]] = None,
-    directions: Optional[Mapping[str, str]] = None,
+    gated: Mapping[str, Gate],
+    shape: Sequence[str] = (),
 ) -> Tuple[List[GateFinding], List[str]]:
     """Compare metric maps; returns (findings, structural problems).
 
-    Each gated metric is checked one-sided in its *direction*: "upper"
+    Each gated metric is checked one-sided in its direction: "upper"
     metrics (latencies, rates, miss counts) regress when they exceed
     ``baseline * (1 + tol)``; "lower" metrics (throughput) regress when
-    they fall below ``baseline * (1 - tol)``.
+    they fall below ``baseline * (1 - tol)``.  Every *shape* key must be
+    present in both maps and equal.
     """
-    tolerances = dict(tolerances or DEFAULT_TOLERANCES)
-    directions = dict(DEFAULT_DIRECTIONS, **(directions or {}))
     findings: List[GateFinding] = []
     problems: List[str] = []
-    for metric, tolerance in sorted(tolerances.items()):
+    for metric, (tolerance, direction) in sorted(gated.items()):
         if metric not in baseline:
             problems.append(f"baseline is missing gated metric {metric!r}")
             continue
@@ -888,7 +736,6 @@ def gate_metrics(
             problems.append(f"current run is missing gated metric {metric!r}")
             continue
         base, cur = baseline[metric], current[metric]
-        direction = directions.get(metric, "upper")
         if direction == "lower":
             regressed = cur < base * (1.0 - tolerance)
         else:
@@ -904,36 +751,35 @@ def gate_metrics(
             )
         )
     # The workload itself must not silently change shape.
-    for invariant in SHAPE_INVARIANTS:
-        if invariant in baseline and invariant in current:
-            if baseline[invariant] != current[invariant]:
-                problems.append(
-                    f"workload changed: {invariant} was "
-                    f"{baseline[invariant]:.0f}, now {current[invariant]:.0f}"
-                )
+    for key in shape:
+        if key not in baseline:
+            problems.append(f"baseline is missing shape key {key!r}")
+        elif key not in current:
+            problems.append(f"current run is missing shape key {key!r}")
+        elif baseline[key] != current[key]:
+            problems.append(
+                f"workload changed: {key} was "
+                f"{baseline[key]:.0f}, now {current[key]:.0f}"
+            )
     return findings, problems
 
 
 def gate_against_baseline(
     baseline: BenchmarkSnapshot,
     current: Optional[BenchmarkSnapshot] = None,
-    tolerances: Optional[Mapping[str, float]] = None,
     tracer=None,
 ) -> GateReport:
     """Re-run the baseline's seeded workload and gate the result.
 
-    The baseline's ``workload`` field names the seeded runner to replay
-    (closed loop, chaos campaign, or scheduler); gated metrics default
-    to that workload's :data:`WORKLOAD_TOLERANCES` entry.
+    The baseline's ``workload`` field names the :data:`WORKLOADS` entry
+    to replay; that entry's gated metrics and shape keys decide the
+    verdict.
     """
     if current is None:
         current = run_workload(baseline, tracer=tracer)
-    if tolerances is None:
-        tolerances = WORKLOAD_TOLERANCES.get(
-            baseline.workload, DEFAULT_TOLERANCES
-        )
+    spec = _spec(baseline.workload)
     findings, problems = gate_metrics(
-        baseline.metrics, current.metrics, tolerances
+        baseline.metrics, current.metrics, spec.gated, spec.shape
     )
     if baseline.workload != current.workload:
         problems.append(

@@ -1,23 +1,25 @@
-"""Tests for the multi-workload bench gate (chaos/scheduler/ingest/fleet)."""
+"""Tests for the multi-workload bench gate and its WORKLOADS table."""
 
+import collections
 import json
+import pathlib
 
 import pytest
 
 from repro.observability.bench_gate import main as bench_gate_main
 from repro.observability.regression import (
+    WORKLOADS,
     BenchmarkSnapshot,
-    WORKLOAD_TOLERANCES,
+    Gate,
     gate_against_baseline,
     gate_metrics,
     load_snapshot,
     run_workload,
-    snapshot_chaos,
-    snapshot_fleet,
-    snapshot_ingest,
-    snapshot_scheduler,
+    snapshot,
     write_snapshot,
 )
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: Small workload shapes keeping the module fast while still seeded.
 N_DRIVES = 4
@@ -45,12 +47,12 @@ def gated_view(snapshot):
 
 @pytest.fixture(scope="module")
 def chaos_snapshot():
-    return snapshot_chaos(seed=0, n_drives=N_DRIVES)
+    return snapshot("chaos", seed=0, n_drives=N_DRIVES)
 
 
 @pytest.fixture(scope="module")
 def scheduler_snapshot():
-    return snapshot_scheduler(seed=0, n_frames=N_FRAMES)
+    return snapshot("scheduler", seed=0, n_frames=N_FRAMES)
 
 
 class TestChaosWorkload:
@@ -62,7 +64,7 @@ class TestChaosWorkload:
         assert chaos_snapshot.metrics["wall_s_total"] > 0
 
     def test_deterministic_per_seed(self, chaos_snapshot):
-        again = snapshot_chaos(seed=0, n_drives=N_DRIVES)
+        again = snapshot("chaos", seed=0, n_drives=N_DRIVES)
         assert gated_view(again) == gated_view(chaos_snapshot)
 
     def test_self_gate_passes(self, chaos_snapshot):
@@ -85,7 +87,7 @@ class TestSchedulerWorkload:
         assert "latency_stage_sensing_mean_s" in metrics
 
     def test_deterministic_per_seed(self, scheduler_snapshot):
-        again = snapshot_scheduler(seed=0, n_frames=N_FRAMES)
+        again = snapshot("scheduler", seed=0, n_frames=N_FRAMES)
         assert gated_view(again) == gated_view(scheduler_snapshot)
 
     def test_self_gate_passes(self, scheduler_snapshot):
@@ -123,8 +125,8 @@ class TestSchedulerWorkload:
 class TestIngestWorkload:
     @pytest.fixture(scope="class")
     def ingest_snapshot(self):
-        return snapshot_ingest(
-            seed=0, n_vehicles=N_VEHICLES, logs_per_vehicle=N_LOGS
+        return snapshot(
+            "ingest", seed=0, n_vehicles=N_VEHICLES, logs_per_vehicle=N_LOGS
         )
 
     def test_shape_and_tagging(self, ingest_snapshot):
@@ -139,8 +141,8 @@ class TestIngestWorkload:
         assert metrics["ingest_p50_s"] <= metrics["ingest_p99_s"]
 
     def test_deterministic_per_seed(self, ingest_snapshot):
-        again = snapshot_ingest(
-            seed=0, n_vehicles=N_VEHICLES, logs_per_vehicle=N_LOGS
+        again = snapshot(
+            "ingest", seed=0, n_vehicles=N_VEHICLES, logs_per_vehicle=N_LOGS
         )
         assert gated_view(again) == gated_view(ingest_snapshot)
 
@@ -185,8 +187,9 @@ class TestIngestWorkload:
     def test_fleet_size_change_is_a_shape_problem(self, ingest_snapshot):
         other = dict(ingest_snapshot.metrics)
         other["n_logs"] = float(N_VEHICLES * N_LOGS + 1)
+        spec = WORKLOADS["ingest"]
         _f, problems = gate_metrics(
-            ingest_snapshot.metrics, other, WORKLOAD_TOLERANCES["ingest"]
+            ingest_snapshot.metrics, other, spec.gated, spec.shape
         )
         assert any("n_logs" in p for p in problems)
 
@@ -194,7 +197,7 @@ class TestIngestWorkload:
 class TestFleetWorkload:
     @pytest.fixture(scope="class")
     def fleet_snapshot(self):
-        return snapshot_fleet(seed=0, n_cells=N_CELLS, n_workers=N_WORKERS)
+        return snapshot("fleet", seed=0, n_cells=N_CELLS, n_workers=N_WORKERS)
 
     def test_shape_and_tagging(self, fleet_snapshot):
         metrics = fleet_snapshot.metrics
@@ -212,7 +215,7 @@ class TestFleetWorkload:
         assert metrics["wall_s_total"] > 0
 
     def test_deterministic_per_seed(self, fleet_snapshot):
-        again = snapshot_fleet(seed=0, n_cells=N_CELLS, n_workers=N_WORKERS)
+        again = snapshot("fleet", seed=0, n_cells=N_CELLS, n_workers=N_WORKERS)
         assert gated_view(again) == gated_view(fleet_snapshot)
 
     def test_self_gate_passes(self, fleet_snapshot):
@@ -256,28 +259,30 @@ class TestFleetWorkload:
     def test_campaign_size_change_is_a_shape_problem(self, fleet_snapshot):
         other = dict(fleet_snapshot.metrics)
         other["n_cells"] = float(N_CELLS + 1)
+        spec = WORKLOADS["fleet"]
         _f, problems = gate_metrics(
-            fleet_snapshot.metrics, other, WORKLOAD_TOLERANCES["fleet"]
+            fleet_snapshot.metrics, other, spec.gated, spec.shape
         )
         assert any("n_cells" in p for p in problems)
 
 
 class TestDirectionAwareGate:
     def test_lower_direction_flags_decreases_only(self):
-        tolerances = {"throughput_hz": 0.05}
+        gated = {"throughput_hz": WORKLOADS["scheduler"].gated["throughput_hz"]}
         findings, _ = gate_metrics(
-            {"throughput_hz": 10.0}, {"throughput_hz": 9.0}, tolerances
+            {"throughput_hz": 10.0}, {"throughput_hz": 9.0}, gated
         )
         assert findings[0].regressed
         assert findings[0].direction == "lower"
         findings, _ = gate_metrics(
-            {"throughput_hz": 10.0}, {"throughput_hz": 11.0}, tolerances
+            {"throughput_hz": 10.0}, {"throughput_hz": 11.0}, gated
         )
         assert not findings[0].regressed
 
     def test_upper_remains_the_default(self):
+        gated = {"latency_mean_s": Gate(0.05)}
         findings, _ = gate_metrics(
-            {"latency_mean_s": 1.0}, {"latency_mean_s": 1.2}
+            {"latency_mean_s": 1.0}, {"latency_mean_s": 1.2}, gated
         )
         assert findings[0].direction == "upper"
         assert findings[0].regressed
@@ -286,26 +291,28 @@ class TestDirectionAwareGate:
         findings, _ = gate_metrics(
             {"throughput_hz": 10.0},
             {"throughput_hz": 10.0},
-            {"throughput_hz": 0.05},
+            {"throughput_hz": Gate(0.05, "lower")},
         )
         assert "tol -5%" in findings[0].describe()
 
     def test_zero_tolerance_chaos_metrics_trip_on_any_increase(self):
         base = {"collision_rate": 0.0, "safe_stop_rate": 0.0, "deadline_misses": 0.0}
         worse = dict(base, collision_rate=0.05)
-        findings, _ = gate_metrics(base, worse, WORKLOAD_TOLERANCES["chaos"])
+        findings, _ = gate_metrics(base, worse, WORKLOADS["chaos"].gated)
         tripped = {f.metric for f in findings if f.regressed}
         assert tripped == {"collision_rate"}
 
     def test_shape_invariants_cover_campaign_and_pipeline_sizes(self):
-        _f, problems = gate_metrics(
-            {"n_drives": 16.0}, {"n_drives": 8.0}, {"collision_rate": 0.0}
+        chaos, scheduler = WORKLOADS["chaos"].shape, WORKLOADS["scheduler"].shape
+        cases = (
+            (chaos, {"n_drives": 16.0}, {"n_drives": 8.0}, "n_drives"),
+            (scheduler, {"frames": 400.0}, {"frames": 200.0}, "frames"),
+            # A runner that stops emitting a shape key fails, too.
+            (chaos, {"n_drives": 16.0}, {}, "missing shape key 'n_drives'"),
         )
-        assert any("n_drives" in p for p in problems)
-        _f, problems = gate_metrics(
-            {"frames": 400.0}, {"frames": 200.0}, {"latency_mean_s": 0.05}
-        )
-        assert any("frames" in p for p in problems)
+        for shape, base, current, expected in cases:
+            _f, problems = gate_metrics(base, current, {}, shape)
+            assert any(expected in p for p in problems), problems
 
 
 class TestSnapshotIo:
@@ -362,6 +369,28 @@ class TestSnapshotIo:
         with pytest.raises(ValueError, match="quantum"):
             run_workload(bad)
 
+    def test_malformed_params_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_bad.json"
+        for params, match in (
+            ({"n_drives": 16.0, "n_frames": 400.0}, "n_frames"),
+            ({"n_drives": 16.5}, "integer"),
+        ):
+            path.write_text(
+                json.dumps(
+                    {
+                        "name": "bad",
+                        "seed": 0,
+                        "duration_s": 10.0,
+                        "version": 1,
+                        "workload": "chaos",
+                        "metrics": {},
+                        "params": params,
+                    }
+                )
+            )
+            with pytest.raises(ValueError, match=match):
+                load_snapshot(str(path))
+
 
 class TestCli:
     def test_snapshot_and_check_scheduler(self, tmp_path, capsys):
@@ -373,8 +402,8 @@ class TestCli:
                 "scheduler",
                 "--name",
                 "sched",
-                "--frames",
-                str(N_FRAMES),
+                "--param",
+                f"n_frames={N_FRAMES}",
                 "--out",
                 baseline,
             ]
@@ -396,8 +425,8 @@ class TestCli:
                 "chaos",
                 "--name",
                 "ch",
-                "--drives",
-                str(N_DRIVES),
+                "--param",
+                f"n_drives={N_DRIVES}",
                 "--out",
                 baseline,
             ]
@@ -416,10 +445,10 @@ class TestCli:
                 "ingest",
                 "--name",
                 "ing",
-                "--vehicles",
-                str(N_VEHICLES),
-                "--logs",
-                str(N_LOGS),
+                "--param",
+                f"n_vehicles={N_VEHICLES}",
+                "--param",
+                f"logs_per_vehicle={N_LOGS}",
                 "--out",
                 baseline,
             ]
@@ -441,10 +470,10 @@ class TestCli:
                 "fleet",
                 "--name",
                 "fl",
-                "--cells",
-                str(N_CELLS),
-                "--workers",
-                str(N_WORKERS),
+                "--param",
+                f"n_cells={N_CELLS}",
+                "--param",
+                f"n_workers={N_WORKERS}",
                 "--out",
                 baseline,
             ]
@@ -461,7 +490,7 @@ class TestCli:
     def test_trace_rejected_for_non_closedloop(self, tmp_path, capsys):
         baseline = str(tmp_path / "BENCH_ch2.json")
         write_snapshot(
-            snapshot_chaos(name="ch2", seed=0, n_drives=N_DRIVES), baseline
+            snapshot("chaos", 0, name="ch2", n_drives=N_DRIVES), baseline
         )
         code = bench_gate_main(
             [
@@ -474,3 +503,43 @@ class TestCli:
         )
         assert code == 2
         assert "closedloop" in capsys.readouterr().err
+
+    def test_unknown_or_malformed_param_exits_2(self, tmp_path, capsys):
+        for override, expected in (
+            ("n_cells=5", "it takes: n_frames"),
+            ("n_frames=2.5", "must be an integer"),
+        ):
+            code = bench_gate_main(
+                [
+                    "snapshot",
+                    "--workload",
+                    "scheduler",
+                    "--param",
+                    override,
+                    "--out",
+                    str(tmp_path / "BENCH_never.json"),
+                ]
+            )
+            assert code == 2
+            assert expected in capsys.readouterr().err
+        assert not (tmp_path / "BENCH_never.json").exists()
+
+
+class TestCommittedBaselines:
+    """The WORKLOADS table, the committed baselines, and CI stay in step.
+
+    Runs no workload: CI's bench-gate step globs ``BENCH_*.json``, so
+    this is what guarantees every workload is gated exactly once.
+    """
+
+    def test_every_workload_has_exactly_one_complete_baseline(self):
+        counts = collections.Counter()
+        for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
+            baseline = load_snapshot(str(path))
+            spec = WORKLOADS[baseline.workload]
+            missing = set(spec.gated).union(spec.shape) - set(baseline.metrics)
+            assert not missing, f"{path.name} lacks {sorted(missing)}"
+            counts[baseline.workload] += 1
+        assert counts == {workload: 1 for workload in WORKLOADS}
+        ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        assert "--baseline BENCH_*.json" in ci
