@@ -10,11 +10,11 @@ sampler's fault draws compose with a corridor's own fault schedule.
 
 The matrix runs on the fault-tolerant fleet substrate by default
 (identical results cell for cell — run_cell is pure per spec); pass
-``--serial`` for the in-process path.
+``--serial`` to run it in process (``fleet=None``).
 
 Every violation the report prints carries a replay one-liner; paste it
-back here to re-run that single cell serially, with an optional
-Perfetto trace of the failing drive::
+back here to re-run that single cell, with an optional Perfetto trace
+of the failing drive::
 
     python examples/corridor_matrix.py --cell-id invariant:slalom:1 \
         [--trace out.json]
@@ -27,6 +27,7 @@ Usage::
 
 import sys
 
+from repro.fleetops.supervisor import FleetConfig
 from repro.robustness.chaos import ChaosConfig, run_chaos_campaign
 from repro.scene.corridors import corridor_names, generate_corridor
 from repro.testing.invariants import run_invariant_matrix
@@ -50,8 +51,9 @@ def main() -> None:
         replay_main(argv)
     serial = "--serial" in argv
     seeds = [int(s) for s in argv if s != "--serial"] or [0, 1, 2]
-    engine = "serial" if serial else "fleet"
-    print(f"Corridor scenario suite — seeds {seeds} ({engine} engine)")
+    fleet = None if serial else FleetConfig()
+    where = "in process" if fleet is None else f"{fleet.n_workers} workers"
+    print(f"Corridor scenario suite — seeds {seeds} ({where})")
     print("=" * 78)
 
     print("\n-- the suite ----------------------------------------------------")
@@ -71,7 +73,7 @@ def main() -> None:
         print(f"      {scenario.description}")
 
     print("\n-- invariant matrix ---------------------------------------------")
-    report = run_invariant_matrix(seeds=seeds, engine=engine)
+    report = run_invariant_matrix(seeds=seeds, fleet=fleet)
     print(report.format_report())
 
     print("\n-- chaos over a corridor ----------------------------------------")

@@ -188,21 +188,20 @@ class CampaignRun:
         return 0 if health is None else health.total_restarts
 
 
-def run_drill(
+def drill_sov(
     scenario: FaultScenario,
     safety_net: bool = True,
     obstacle_distance_m: float = DRILL_OBSTACLE_DISTANCE_M,
-    duration_s: float = DRILL_DURATION_S,
     seed: int = 0,
-) -> DriveResult:
-    """Drive one fault scenario down the drill corridor.
+) -> SystemsOnAVehicle:
+    """The drill-corridor vehicle for one fault scenario, ready to drive.
 
     ``safety_net=False`` disables both the reactive path and the
     degradation supervisor — the unprotected baseline the paper's safety
     argument ablates against.
     """
     world = World(obstacles=[Obstacle(obstacle_distance_m, 0.0, radius_m=0.4)])
-    sov = SystemsOnAVehicle(
+    return SystemsOnAVehicle(
         world=world,
         lane_map=straight_corridor(length_m=300.0, n_lanes=1),
         initial_state=VehicleState(speed_mps=DRILL_SPEED_MPS),
@@ -213,6 +212,17 @@ def run_drill(
             seed=seed,
         ),
     )
+
+
+def run_drill(
+    scenario: FaultScenario,
+    safety_net: bool = True,
+    obstacle_distance_m: float = DRILL_OBSTACLE_DISTANCE_M,
+    duration_s: float = DRILL_DURATION_S,
+    seed: int = 0,
+) -> DriveResult:
+    """Drive one fault scenario down the drill corridor (:func:`drill_sov`)."""
+    sov = drill_sov(scenario, safety_net, obstacle_distance_m, seed)
     return sov.drive(duration_s)
 
 

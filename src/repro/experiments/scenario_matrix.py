@@ -14,14 +14,15 @@ The expected shape, mirrored by ``tests/testing/test_invariants.py``:
 **zero violations across the whole matrix** — the paper's prose claims
 hold on every corridor the suite can generate.
 
-Since PR 8 the sweep runs on the fault-tolerant fleet substrate
-(:mod:`repro.fleetops`) by default — cells are pure per spec, so the
-fleet matrix is identical to the serial one cell for cell
-(``examples/corridor_matrix.py --serial`` drives the serial path).
+The sweep runs on the fault-tolerant fleet substrate
+(:mod:`repro.fleetops`) — cells are pure per spec, so the fleet matrix
+is identical to the in-process one cell for cell
+(``examples/corridor_matrix.py --serial`` runs it in process).
 """
 
 from __future__ import annotations
 
+from ..fleetops.supervisor import FleetConfig
 from ..testing.invariants import INVARIANT_NAMES, run_invariant_matrix
 from .base import ExperimentResult, Row, register
 
@@ -40,7 +41,7 @@ def scenario_matrix() -> ExperimentResult:
     accounting inconsistencies in the Eq. 1 ledger.
     """
     report = run_invariant_matrix(
-        seeds=MATRIX_SEEDS, engine="fleet", n_workers=MATRIX_WORKERS
+        seeds=MATRIX_SEEDS, fleet=FleetConfig(n_workers=MATRIX_WORKERS)
     )
     summary = report.summary()
     rows = [

@@ -5,9 +5,10 @@ package makes our own campaign infrastructure operate at that scale and
 survive the failures that come with it.  The pieces:
 
 ``cells``
-    :class:`~repro.fleetops.cells.CellSpec` / :func:`~repro.fleetops.cells.run_cell`
-    — the pure, picklable unit of campaign work shared by the serial and
-    fleet paths, with deterministic per-cell seeding so results are
+    :class:`~repro.fleetops.cells.CellSpec` / :func:`~repro.fleetops.cells.run_cells`
+    — the pure, picklable unit of campaign work and the one executor
+    that drives it, in lockstep groups, for the in-process and fleet
+    paths alike, with deterministic per-cell seeding so results are
     bit-identical no matter where a cell runs.
 
 ``journal``

@@ -217,8 +217,7 @@ def run_procgen_campaign(
             f"duplicates={report.duplicate_cells} "
             f"failed={list(report.failed_cells)}"
         )
-    ordered = sorted(report.results, key=lambda r: r.index)
-    outcomes = [result.record for result in ordered]
+    outcomes = [result.record for result in report.results]
     checksum = 0
     topology_counts: Dict[str, int] = {}
     for outcome in outcomes:

@@ -1,40 +1,74 @@
-"""The campaign cell: one pure, picklable unit of fleet work.
+"""The campaign cell: one pure, picklable unit of fleet work, and the one
+executor that drives it.
 
 Every campaign the repo runs — chaos sweeps
 (:func:`repro.robustness.chaos.run_chaos_campaign`), the corridor
 invariant matrix (:func:`repro.testing.invariants.run_invariant_matrix`),
-and the fault-drill ablation
-(:func:`repro.experiments.fault_campaign.run_campaign`) — decomposes into
-``scenario x seed x fault`` cells.  This module gives those cells one
-shared entry point:
+generated-scene sweeps, the fault-drill ablation
+(:func:`repro.experiments.fault_campaign.run_campaign`) and the triage
+harvest — decomposes into ``scenario x seed x fault`` cells.  This
+module gives those cells one shared executor:
 
 * :class:`CellSpec` names a cell completely: its kind, its position in
   campaign order, and a frozen kind-specific payload.  Specs are small,
   hashable, and picklable, so they cross process boundaries and key the
   campaign journal.
-* :func:`run_cell` executes a spec and returns a :class:`CellResult`.
-  It is a *pure function of the spec*: all randomness derives from seeds
-  the spec carries, so a cell produces a bit-identical result whether it
-  runs in-process, in a worker four retries deep, or speculatively on
-  two workers at once.  That purity is the whole determinism contract of
-  the fleet engine — first result wins and nothing is lost by
-  discarding duplicates.
+* :data:`CELL_KINDS` is the kind table.  Each entry *builds* a cell's
+  drives as fresh ``(sov, duration_s)`` pairs — two for a cell that
+  checks replay determinism, whose re-drive rides in the same batch —
+  and *finishes* the cell's record, fingerprint and summary from their
+  :class:`~repro.runtime.sov.DriveResult` s.
+* :func:`run_cells` is the only place a campaign cell is driven.  It
+  takes specs in lockstep groups of :data:`LOCKSTEP_GROUP` cells and
+  advances every drive of a group through one
+  :func:`~repro.runtime.batched.drive_batch` call.  :func:`run_cell` is
+  a group of one; pool workers, the supervisor's serial fallback, the
+  shrinker, the corpus sweep and ``--cell-id`` replay all call it.
 
-The serial campaign paths run the very same function (see
-:func:`repro.robustness.chaos.run_chaos_campaign`), which is what makes
-"fleet results bit-identical to serial" a structural property instead of
-a test hope.
+A cell is a *pure function of its spec*: all randomness derives from
+seeds the spec carries, drives share no state, and ``drive_batch``
+reproduces the scalar ``SystemsOnAVehicle.drive`` bit for bit per drive
+(:mod:`repro.testing.differential`).  So a cell gives the identical
+result in a group of sixteen in-process, alone in a worker four retries
+deep, or speculatively on two workers at once — the whole determinism
+contract of the fleet engine: first result wins and nothing is lost by
+discarding duplicates.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
+import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-#: The cell kinds :func:`run_cell` can execute.
-CELL_KINDS = ("chaos", "invariant", "drill", "procgen", "triage")
+#: Cells per lockstep group: the N that perfbench ``lockstep`` and
+#: ``BENCH_batched.json`` measure the batched stepper at.
+LOCKSTEP_GROUP = 16
+
+
+def _drive_shape(config) -> Tuple:
+    """The chaos-config fields, beyond seed, arm and corridor, that
+    shape a drive."""
+    return (
+        config.space,
+        config.duration_s,
+        config.obstacle_distance_m,
+        config.initial_speed_mps,
+    )
 
 
 @dataclass(frozen=True)
@@ -46,12 +80,18 @@ class ChaosCell:
 
     @property
     def cell_id(self) -> str:
-        arm = "net" if self.config.safety_net else "raw"
-        corridor = self.config.corridor or "drill-lane"
-        return (
-            f"chaos:{corridor}:{self.config.seed}:"
-            f"{self.drive_index}:{arm}"
-        )
+        config = self.config
+        arm = "net" if config.safety_net else "raw"
+        corridor = config.corridor or "drill-lane"
+        cell_id = f"chaos:{corridor}:{config.seed}:{self.drive_index}:{arm}"
+        # Default-config ids keep their historical spelling.  Any other
+        # drive shape gets a CRC of it, so two configs never share an id
+        # (nor a journal signature); parse_cell_id refuses such ids.
+        shape = _drive_shape(config)
+        if shape != _drive_shape(type(config)(n_drives=1)):
+            crc = zlib.crc32(repr(shape).encode("utf-8"))
+            cell_id += f":x{crc:08x}"
+        return cell_id
 
 
 @dataclass(frozen=True)
@@ -65,10 +105,17 @@ class InvariantCell:
 
     @property
     def cell_id(self) -> str:
-        # The default (determinism-checked) id predates the flag; only
-        # the opt-out spells it, so historical journal ids stay valid.
+        # The default (paper-budget, determinism-checked) id predates
+        # both fields; only a departure spells them, so historical
+        # journal ids stay valid.  repr, not :g, so the budget parses
+        # back to the same float.
+        budget = (
+            ""
+            if self.deadline_budget_s is None
+            else f":b{float(self.deadline_budget_s)!r}"
+        )
         suffix = "" if self.check_determinism else ":nodet"
-        return f"invariant:{self.name}:{self.seed}{suffix}"
+        return f"invariant:{self.name}:{self.seed}{budget}{suffix}"
 
 
 @dataclass(frozen=True)
@@ -148,8 +195,6 @@ class TriageCell:
 
     @property
     def cell_id(self) -> str:
-        import zlib
-
         ident = (
             self.scene,
             self.scene_seed,
@@ -175,9 +220,10 @@ CellPayload = Union[ChaosCell, InvariantCell, DrillCell, ProcGenCell, TriageCell
 class CellSpec:
     """One cell of a campaign, named completely and picklable.
 
-    ``index`` is the cell's position in campaign order — the serial path
-    executes specs in index order, and the fleet path sorts results back
-    into it, so aggregation sees the identical sequence either way.
+    ``index`` is the cell's position in campaign order — the in-process
+    executor returns results in spec order, and the fleet path sorts
+    results back into index order, so aggregation sees the identical
+    sequence either way.
     """
 
     kind: str
@@ -187,7 +233,7 @@ class CellSpec:
     def __post_init__(self) -> None:
         if self.kind not in CELL_KINDS:
             raise ValueError(
-                f"unknown cell kind {self.kind!r}; known: {CELL_KINDS}"
+                f"unknown cell kind {self.kind!r}; known: {tuple(CELL_KINDS)}"
             )
         if self.index < 0:
             raise ValueError("cell index must be non-negative")
@@ -222,7 +268,8 @@ class CellResult:
     ``fingerprint`` is the bit-exact identity of the underlying drive
     (see :func:`repro.testing.invariants.drive_fingerprint`): two
     results with equal fingerprints took the same trajectory tick for
-    tick.  ``wall_s`` is machine-dependent and excluded from every
+    tick.  ``sim_duration_s`` is the simulated length of the cell's
+    drive.  ``wall_s`` is machine-dependent and excluded from every
     determinism comparison.
     """
 
@@ -245,15 +292,39 @@ class CellResult:
         return (self.cell_id, self.index, self.kind, self.fingerprint)
 
 
-# -- execution -----------------------------------------------------------------
+# -- the kind table ------------------------------------------------------------
+
+_Drives = List[Tuple[object, float]]
 
 
-def _chaos_cell_result(
-    spec: CellSpec, record, result, wall_s: float
-) -> CellResult:
+class CellKind(NamedTuple):
+    """How one cell kind is driven."""
+
+    #: ``cell -> (context, drives)``: fresh ``(sov, duration_s)`` pairs,
+    #: plus whatever *finish* needs besides their results.
+    build: Callable[[CellPayload], Tuple[object, _Drives]]
+    #: ``(cell, context, drives, results) -> (record, fingerprint,
+    #: summary)``.
+    finish: Callable[..., Tuple[object, Tuple, Dict[str, float]]]
+
+
+def _build_chaos(cell: ChaosCell):
+    from ..robustness.chaos import build_chaos_drive
+
+    scenario, sov, duration_s = build_chaos_drive(
+        cell.config, cell.drive_index
+    )
+    return scenario, [(sov, duration_s)]
+
+
+def _finish_chaos(cell: ChaosCell, scenario, _drives, results):
+    from ..robustness.chaos import chaos_drive_record
     from ..testing.invariants import drive_fingerprint
 
-    cell: ChaosCell = spec.cell
+    [result] = results
+    record = chaos_drive_record(
+        cell.config, cell.drive_index, scenario, result
+    )
     summary = {
         "collided": float(record.collided),
         "stopped": float(record.stopped),
@@ -262,72 +333,107 @@ def _chaos_cell_result(
         "reactive_interventions": float(record.reactive_interventions),
         "deadline_misses": float(record.deadline_misses),
     }
-    return CellResult(
-        cell_id=spec.cell_id,
-        index=spec.index,
-        kind=spec.kind,
-        fingerprint=drive_fingerprint(result),
-        summary=summary,
-        record=record,
-        sim_duration_s=cell.config.duration_s,
-        wall_s=wall_s,
-    )
+    return record, drive_fingerprint(result), summary
 
 
-def _run_chaos_cell(spec: CellSpec) -> CellResult:
-    from ..robustness.chaos import run_chaos_drive
+def _protected_drives(scenarios, deadline_budget_s=None) -> _Drives:
+    """One protected, attributed drive per scenario (the invariant
+    harness's configuration)."""
+    from ..scene.corridors import make_corridor_sov
 
-    cell: ChaosCell = spec.cell
-    started = time.perf_counter()
-    record, result = run_chaos_drive(cell.config, cell.drive_index)
-    wall_s = time.perf_counter() - started
-    return _chaos_cell_result(spec, record, result, wall_s)
+    drives: _Drives = []
+    for scenario in scenarios:
+        sov = make_corridor_sov(scenario, safety_net=True)
+        sov.enable_attribution(deadline_budget_s)
+        drives.append((sov, scenario.duration_s))
+    return drives
 
 
-def _run_invariant_cell(spec: CellSpec) -> CellResult:
-    from ..testing.invariants import run_invariant_cell
-
-    cell: InvariantCell = spec.cell
-    started = time.perf_counter()
-    outcome = run_invariant_cell(
-        cell.name,
-        cell.seed,
-        check_determinism=cell.check_determinism,
-        deadline_budget_s=cell.deadline_budget_s,
-    )
-    wall_s = time.perf_counter() - started
-    summary = {
+def _outcome_summary(outcome) -> Dict[str, float]:
+    return {
         "collided": float(outcome.collided),
         "entered_safe_stop": float(outcome.entered_safe_stop),
         "violations": float(len(outcome.violations)),
         "checks": float(len(outcome.checked)),
         "deadline_misses": float(outcome.deadline_misses),
     }
-    return CellResult(
-        cell_id=spec.cell_id,
-        index=spec.index,
-        kind=spec.kind,
-        fingerprint=dataclasses.astuple(outcome),
-        summary=summary,
-        record=outcome,
-        sim_duration_s=0.0,
-        wall_s=wall_s,
+
+
+def _build_invariant(cell: InvariantCell):
+    from ..scene.providers import resolve_scene
+
+    scenarios = [
+        resolve_scene(cell.name, cell.seed)
+        for _ in range(2 if cell.check_determinism else 1)
+    ]
+    return scenarios[0], _protected_drives(scenarios, cell.deadline_budget_s)
+
+
+def _finish_invariant(cell: InvariantCell, scenario, drives, results):
+    from ..testing.invariants import _evaluate_cell
+
+    outcome = _evaluate_cell(
+        cell.name, cell.seed, cell.cell_id, scenario, drives[0][0], results
     )
+    return outcome, dataclasses.astuple(outcome), _outcome_summary(outcome)
 
 
-def _run_drill_cell(spec: CellSpec) -> CellResult:
+def _build_procgen(cell: ProcGenCell):
+    from ..scene.procgen import scene_checksum, scene_fingerprint
+
+    scenario, regenerated = (
+        cell.space.sample(cell.generator_seed, cell.cell_index)
+        for _ in range(2)
+    )
+    # Fingerprint both samples before either drives: a drive moves the
+    # world's agents.
+    context = (
+        scenario,
+        (scene_fingerprint(scenario), scene_fingerprint(regenerated)),
+        scene_checksum(scenario),
+    )
+    scenes = [scenario, regenerated] if cell.check_determinism else [scenario]
+    return context, _protected_drives(scenes)
+
+
+def _finish_procgen(cell: ProcGenCell, context, drives, results):
+    from ..testing.invariants import _evaluate_cell
+
+    scenario, fingerprints, checksum = context
+    outcome = _evaluate_cell(
+        f"procgen:{scenario.topology}[{cell.cell_index}]",
+        cell.generator_seed,
+        cell.cell_id,
+        scenario,
+        drives[0][0],
+        results,
+        scene_fingerprints=fingerprints,
+        scene_checksum=checksum,
+    )
+    summary = _outcome_summary(outcome)
+    summary["scene_checksum"] = float(checksum)
+    return outcome, dataclasses.astuple(outcome), summary
+
+
+def _build_drill(cell: DrillCell):
     from ..experiments.fault_campaign import (
         DRILL_DURATION_S,
         drill_scenario,
-        run_drill,
+        drill_sov,
     )
+
+    sov = drill_sov(
+        drill_scenario(cell.scenario),
+        safety_net=cell.safety_net,
+        seed=cell.seed,
+    )
+    return None, [(sov, DRILL_DURATION_S)]
+
+
+def _finish_drill(cell: DrillCell, _context, _drives, results):
     from ..testing.invariants import drive_fingerprint
 
-    cell: DrillCell = spec.cell
-    scenario = drill_scenario(cell.scenario)
-    started = time.perf_counter()
-    result = run_drill(scenario, safety_net=cell.safety_net, seed=cell.seed)
-    wall_s = time.perf_counter() - started
+    [result] = results
     health = result.health
     record = DrillRecord(
         scenario=cell.scenario,
@@ -350,58 +456,25 @@ def _run_drill_cell(spec: CellSpec) -> CellResult:
         "reactive_interventions": float(record.reactive_interventions),
         "restarts": float(record.restarts),
     }
-    return CellResult(
-        cell_id=spec.cell_id,
-        index=spec.index,
-        kind=spec.kind,
-        fingerprint=drive_fingerprint(result),
-        summary=summary,
-        record=record,
-        sim_duration_s=DRILL_DURATION_S,
-        wall_s=wall_s,
-    )
+    return record, drive_fingerprint(result), summary
 
 
-def _run_procgen_cell(spec: CellSpec) -> CellResult:
-    from ..testing.invariants import run_generated_cell
+def _build_triage(cell: TriageCell):
+    from ..triage.oracle import build_triage_drive
 
-    cell: ProcGenCell = spec.cell
-    started = time.perf_counter()
-    outcome = run_generated_cell(
-        space=cell.space,
-        generator_seed=cell.generator_seed,
-        cell_index=cell.cell_index,
-        check_determinism=cell.check_determinism,
-    )
-    wall_s = time.perf_counter() - started
-    summary = {
-        "collided": float(outcome.collided),
-        "entered_safe_stop": float(outcome.entered_safe_stop),
-        "violations": float(len(outcome.violations)),
-        "checks": float(len(outcome.checked)),
-        "deadline_misses": float(outcome.deadline_misses),
-        "scene_checksum": float(outcome.scene_checksum or 0),
-    }
-    return CellResult(
-        cell_id=spec.cell_id,
-        index=spec.index,
-        kind=spec.kind,
-        fingerprint=dataclasses.astuple(outcome),
-        summary=summary,
-        record=outcome,
-        sim_duration_s=0.0,
-        wall_s=wall_s,
-    )
+    built = [
+        build_triage_drive(cell)
+        for _ in range(2 if cell.invariant == "replay_determinism" else 1)
+    ]
+    return built[0][0], [(sov, duration_s) for _s, sov, duration_s in built]
 
 
-def _run_triage_cell(spec: CellSpec) -> CellResult:
+def _finish_triage(cell: TriageCell, scenario, drives, results):
     from ..testing.invariants import drive_fingerprint
-    from ..triage.oracle import execute_triage_cell
+    from ..triage.oracle import judge_triage_drive
 
-    cell: TriageCell = spec.cell
-    started = time.perf_counter()
-    outcome, result = execute_triage_cell(cell)
-    wall_s = time.perf_counter() - started
+    sov, duration_s = drives[0]
+    outcome = judge_triage_drive(cell, scenario, sov, duration_s, results)
     summary = {
         "violated": float(outcome.violated),
         "collided": float(outcome.collided),
@@ -412,91 +485,90 @@ def _run_triage_cell(spec: CellSpec) -> CellResult:
         "n_agents": float(outcome.n_agents),
         "duration_s": outcome.duration_s,
     }
-    return CellResult(
-        cell_id=spec.cell_id,
-        index=spec.index,
-        kind=spec.kind,
-        fingerprint=drive_fingerprint(result),
-        summary=summary,
-        record=outcome,
-        sim_duration_s=outcome.duration_s,
-        wall_s=wall_s,
-    )
+    return outcome, drive_fingerprint(results[0]), summary
 
 
-_RUNNERS = {
-    "chaos": _run_chaos_cell,
-    "invariant": _run_invariant_cell,
-    "drill": _run_drill_cell,
-    "procgen": _run_procgen_cell,
-    "triage": _run_triage_cell,
+#: Every cell kind :func:`run_cells` can execute, keyed by
+#: :attr:`CellSpec.kind`.
+CELL_KINDS: Dict[str, CellKind] = {
+    "chaos": CellKind(_build_chaos, _finish_chaos),
+    "invariant": CellKind(_build_invariant, _finish_invariant),
+    "drill": CellKind(_build_drill, _finish_drill),
+    "procgen": CellKind(_build_procgen, _finish_procgen),
+    "triage": CellKind(_build_triage, _finish_triage),
 }
 
 
+# -- execution -----------------------------------------------------------------
+
+
+def run_cells(specs: Iterable[CellSpec]) -> List[CellResult]:
+    """Execute cells; results come back in spec order.
+
+    Consumes *specs* lazily, :data:`LOCKSTEP_GROUP` cells at a time, and
+    drives each group's drives in lockstep through one
+    :func:`~repro.runtime.batched.drive_batch` call.  Grouping is an
+    execution strategy, not a semantic knob: every cell's result is
+    bit-identical however it is grouped.  A cell's ``wall_s`` is its
+    group's wall time (build, drive and finish) over the group's cell
+    count.
+    """
+    specs = iter(specs)
+    results: List[CellResult] = []
+    while True:
+        group = list(itertools.islice(specs, LOCKSTEP_GROUP))
+        if not group:
+            return results
+        results.extend(_run_group(group))
+
+
+def _run_group(group: Sequence[CellSpec]) -> List[CellResult]:
+    from ..runtime.batched import drive_batch
+
+    started = time.perf_counter()
+    built = [CELL_KINDS[spec.kind].build(spec.cell) for spec in group]
+    drives = [d for _context, cell_drives in built for d in cell_drives]
+    driven = iter(
+        drive_batch(
+            [sov for sov, _duration in drives],
+            [duration for _sov, duration in drives],
+        )
+    )
+    finished = [
+        CELL_KINDS[spec.kind].finish(
+            spec.cell,
+            context,
+            cell_drives,
+            list(itertools.islice(driven, len(cell_drives))),
+        )
+        for spec, (context, cell_drives) in zip(group, built)
+    ]
+    wall_s = (time.perf_counter() - started) / len(group)
+    return [
+        CellResult(
+            cell_id=spec.cell_id,
+            index=spec.index,
+            kind=spec.kind,
+            fingerprint=fingerprint,
+            summary=summary,
+            record=record,
+            sim_duration_s=cell_drives[0][1],
+            wall_s=wall_s,
+        )
+        for spec, (_ctx, cell_drives), (record, fingerprint, summary) in zip(
+            group, built, finished
+        )
+    ]
+
+
 def run_cell(spec: CellSpec) -> CellResult:
-    """Execute one cell — the single code path serial and fleet share.
+    """Execute one cell: a lockstep group of one.
 
     Pure per spec: every random draw derives from seeds the spec
     carries, so re-running a spec anywhere reproduces the identical
     :class:`CellResult` (modulo the informational ``wall_s``).
     """
-    return _RUNNERS[spec.kind](spec)
-
-
-CELL_ENGINES = ("serial", "batched")
-
-
-def run_cells(
-    specs: Sequence[CellSpec], engine: str = "serial"
-) -> List[CellResult]:
-    """Execute many cells; ``engine="batched"`` advances every chaos
-    cell's vehicle in lockstep through the vectorized multi-drive
-    stepper (:mod:`repro.runtime.batched`).
-
-    The engine is an execution strategy, not a semantic knob: batched
-    results are bit-identical to serial ones (``CellResult.identity()``
-    equality, enforced by the differential suite and the CI batched
-    smoke job).  Cell kinds without a batched build path (drill, triage,
-    invariant, procgen) run through :func:`run_cell` unchanged, so a
-    mixed campaign is always safe.  Results come back in spec order.
-    """
-    if engine not in CELL_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; use one of {CELL_ENGINES}"
-        )
-    specs = list(specs)
-    if engine == "serial":
-        return [run_cell(spec) for spec in specs]
-    from ..robustness.chaos import build_chaos_drive, chaos_drive_record
-    from ..runtime.batched import drive_batch
-
-    results: List[Optional[CellResult]] = [None] * len(specs)
-    chaos_positions: List[int] = []
-    for i, spec in enumerate(specs):
-        if spec.kind == "chaos":
-            chaos_positions.append(i)
-        else:
-            results[i] = run_cell(spec)
-    if chaos_positions:
-        started = time.perf_counter()
-        built = []
-        for i in chaos_positions:
-            cell: ChaosCell = specs[i].cell
-            built.append(build_chaos_drive(cell.config, cell.drive_index))
-        drive_results = drive_batch(
-            [sov for _scn, sov, _dur in built],
-            [duration for _scn, _sov, duration in built],
-        )
-        wall_s = (time.perf_counter() - started) / len(chaos_positions)
-        for pos, (scenario, _sov, _dur), result in zip(
-            chaos_positions, built, drive_results
-        ):
-            spec = specs[pos]
-            record = chaos_drive_record(
-                spec.cell.config, spec.cell.drive_index, scenario, result
-            )
-            results[pos] = _chaos_cell_result(spec, record, result, wall_s)
-    return [r for r in results if r is not None]
+    return run_cells([spec])[0]
 
 
 def campaign_crc(results: Sequence[CellResult]) -> int:
@@ -504,11 +576,9 @@ def campaign_crc(results: Sequence[CellResult]) -> int:
 
     Two campaigns with equal CRCs produced bit-identical outcomes for
     every cell (`identity()` excludes the informational ``wall_s``), no
-    matter which engine, worker count, or completion order produced
+    matter which grouping, worker count, or completion order produced
     them — the single number the CI batched-smoke job compares.
     """
-    import zlib
-
     payload = repr(tuple(sorted(r.identity() for r in results)))
     return zlib.crc32(payload.encode("utf-8"))
 
@@ -522,7 +592,7 @@ def chaos_cells(config, start: int = 0) -> Iterator[CellSpec]:
     This is the generator behind
     :func:`repro.robustness.chaos.iter_cells`; nothing is materialized,
     so a million-drive campaign costs nothing to enumerate and the fleet
-    engine streams cells exactly as the serial path does.
+    engine streams cells exactly as the in-process path does.
     """
     for index in range(start, config.n_drives):
         yield CellSpec(
@@ -601,26 +671,42 @@ def parse_cell_id(cell_id: str) -> CellSpec:
 
     This is the inverse of the ``cell_id`` properties for the campaign
     kinds whose ids are self-describing — ``invariant:``, ``procgen:``,
-    ``chaos:``, and ``drill:`` — so a violation's repro line can be
-    replayed with nothing but the id (see
-    :func:`repro.triage.replay.replay_cell`).  Triage ids embed a CRC of
-    an explicit payload and cannot be reconstructed from the id alone;
-    replay those from the regression corpus instead.
+    ``chaos:`` (default drive config), and ``drill:`` — so a violation's
+    repro line can be replayed with nothing but the id (see
+    :func:`repro.triage.replay.replay_cell`).  Triage ids and chaos ids
+    of a non-default config (``:x<crc>``) embed a CRC of their payload
+    and cannot be reconstructed from the id alone; replay triage cells
+    from the regression corpus instead.
     """
     parts = cell_id.split(":")
     kind = parts[0]
+    if kind == "chaos" and parts[-1].startswith("x"):
+        raise ValueError(
+            f"cell id {cell_id!r} is not replayable from its id: its "
+            "chaos config is not the default (the id carries only a CRC "
+            "of it)"
+        )
     try:
         if kind == "invariant":
-            # invariant:{name}:{seed}[:nodet]
-            check = parts[-1] != "nodet"
-            if check:
-                name, seed = ":".join(parts[1:-1]), int(parts[-1])
-            else:
-                name, seed = ":".join(parts[1:-2]), int(parts[-2])
+            # invariant:{name}:{seed}[:b{budget}][:nodet]
+            fields = parts[1:]
+            check = fields[-1] != "nodet"
+            if not check:
+                fields = fields[:-1]
+            budget = None
+            if fields[-1].startswith("b"):
+                budget = float(fields[-1][1:])
+                fields = fields[:-1]
+            name, seed = ":".join(fields[:-1]), int(fields[-1])
             return CellSpec(
                 kind="invariant",
                 index=0,
-                cell=InvariantCell(name=name, seed=seed, check_determinism=check),
+                cell=InvariantCell(
+                    name=name,
+                    seed=seed,
+                    deadline_budget_s=budget,
+                    check_determinism=check,
+                ),
             )
         if kind == "procgen":
             # procgen:{generator_seed}:{cell_index}:i{intensity}[:nodet]

@@ -354,12 +354,11 @@ def build_chaos_drive(config: ChaosConfig, index: int):
     """Construct drive *index* without driving it.
 
     Returns ``(scenario, sov, duration_s)`` — the configured vehicle
-    ready for either ``sov.drive(duration_s)`` (the serial path) or the
-    batched stepper (:mod:`repro.runtime.batched`), which advances many
-    such vehicles in lockstep.  Splitting construction from execution is
-    what lets a fleet campaign swap the engine without touching the
-    per-drive seeding contract: the sov built here is bit-identical
-    either way.
+    ready for either ``sov.drive(duration_s)`` (the scalar reference,
+    :func:`run_chaos_drive`) or the batched stepper
+    (:mod:`repro.runtime.batched`), which the cell executor uses to
+    advance many such vehicles in lockstep.  The sov built here drives
+    bit-identically either way.
     """
     from ..runtime.sov import SovConfig, SystemsOnAVehicle
     from ..scene.lanes import straight_corridor
@@ -592,11 +591,12 @@ def iter_cells(config: Optional[ChaosConfig] = None, start: int = 0):
 
     Each yielded :class:`~repro.fleetops.cells.CellSpec` is small,
     hashable, and picklable, and executes through the same
-    :func:`~repro.fleetops.cells.run_cell` entry point the serial
+    :func:`~repro.fleetops.cells.run_cells` executor the in-process
     campaign uses — hand them to a
     :class:`~repro.fleetops.supervisor.FleetSupervisor` and the fleet
-    result is bit-identical to the serial one.  Nothing is materialized:
-    enumerating a million-drive campaign costs a generator, not a list.
+    result is bit-identical to the in-process one.  Nothing is
+    materialized: enumerating a million-drive campaign costs a
+    generator, not a list.
     """
     from ..fleetops.cells import chaos_cells
 
@@ -606,15 +606,15 @@ def iter_cells(config: Optional[ChaosConfig] = None, start: int = 0):
 def run_chaos_campaign(config: Optional[ChaosConfig] = None) -> ChaosCampaignResult:
     """Sweep ``config.n_drives`` sampled scenarios through the SoV.
 
-    Serial reference path: executes :func:`iter_cells` one cell at a
-    time through :func:`~repro.fleetops.cells.run_cell` — the identical
-    code path the fleet engine's workers run, which is what makes fleet
-    campaigns bit-identical to this function by construction.
+    In-process path: executes :func:`iter_cells` through
+    :func:`~repro.fleetops.cells.run_cells` — the executor the fleet
+    engine's workers run too, which is what makes fleet campaigns
+    bit-identical to this function by construction.
     """
-    from ..fleetops.cells import run_cell
+    from ..fleetops.cells import run_cells
 
     config = config or ChaosConfig()
-    records = [run_cell(spec).record for spec in iter_cells(config)]
+    records = [result.record for result in run_cells(iter_cells(config))]
     return ChaosCampaignResult(
         config=config,
         records=records,

@@ -393,18 +393,6 @@ class SystemsOnAVehicle:
             )
         )
 
-    def _proactive_tick(self, now_s: float) -> None:
-        request = self._proactive_pre(now_s)
-        if request is None:
-            return
-        plan = self.planner.plan(
-            request.state,
-            predictions=request.predictions,
-            static_obstacles=request.obstacles,
-            now_s=now_s,
-        )
-        self._proactive_post(request, plan.command)
-
     def _proactive_pre(self, now_s: float) -> Optional[PlanRequest]:
         """Everything before the planner call; None when no plan is needed
         this tick (the fallback / skip paths complete inline)."""

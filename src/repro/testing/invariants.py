@@ -34,23 +34,21 @@ when modules die (Sec. III-C).  This module states those claims as
     hold).  Skipped when the cell's fault schedule corrupts the radar —
     a lying sensor voids the premise, not the system.
 
-A failing cell produces an :class:`InvariantViolation` carrying the
-scenario name and seed, so every violation is a pinned, replayable
-reproduction by construction: ``run_invariant_cell(name, seed)`` is the
-whole repro recipe.
+Each cell is a ``kind="invariant"`` (or ``"procgen"``) campaign cell:
+:func:`repro.fleetops.cells.run_cells` builds its drives, advances them
+in lockstep with every other drive of its group, and hands the results
+to :func:`_evaluate_cell`, which applies :func:`check_drive_invariant`
+once per invariant.  A failing cell produces an
+:class:`InvariantViolation` carrying the scenario name, seed, and cell
+id, so every violation is a pinned, replayable reproduction by
+construction: ``run_invariant_cell(name, seed)`` is the whole repro
+recipe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from ..scene.corridors import (
-    CorridorScenario,
-    corridor_names,
-    make_corridor_sov,
-)
-from ..scene.providers import resolve_scene
 
 #: Radar-corrupting fault kinds: a cell whose schedule includes one of
 #: these skips the reactive-engagement check (the premise is void).
@@ -281,6 +279,28 @@ def degradation_trajectory(sov) -> Tuple[str, ...]:
     return ("NOMINAL",) + tuple(t.mode.name for t in transitions)
 
 
+def _radar_corrupted(faults: Sequence) -> bool:
+    """Whether a fault schedule corrupts the radar — a lying sensor
+    voids the reactive-engagement premise, not the system."""
+    return any(
+        getattr(f, "kind", "") in _RADAR_CORRUPTING
+        and getattr(f, "sensor", "") == "radar"
+        for f in faults
+    )
+
+
+def _divergence(a: Tuple, b: Tuple) -> Optional[str]:
+    """The first three differing fields of two fingerprints (None: equal)."""
+    if a == b:
+        return None
+    diffs = [
+        f"field {i}: {x!r} != {y!r}"
+        for i, (x, y) in enumerate(zip(a, b))
+        if x != y
+    ]
+    return "; ".join(diffs[:3])
+
+
 def check_drive_invariant(
     invariant: str,
     result,
@@ -288,138 +308,130 @@ def check_drive_invariant(
     sov=None,
     result2=None,
     faults: Sequence = (),
-) -> Tuple[bool, str]:
+) -> Tuple[str, ...]:
     """Evaluate one named drive invariant on a completed drive.
 
-    The standalone single-invariant face of :func:`_evaluate_cell`, used
-    by the failure-triage oracle to ask "does this candidate still
-    violate the *same* invariant?" without re-running the whole harness.
-    Returns ``(violated, detail)``.
+    Returns every failing detail, in check order (empty: the invariant
+    holds).  The matrix harness (:func:`_evaluate_cell`) records each
+    as a violation; the failure-triage oracle asks "does this candidate
+    still violate the *same* invariant?" and keeps the first.
 
     *blocked* is the scene's impassability flag; *result2* is a second
     drive of the identical cell (required for ``replay_determinism``);
     *sov* is required for ``reactive_engagement``; *faults* is the
     cell's fault schedule (radar-corrupting kinds void the
-    reactive-engagement premise, matching the matrix harness).
+    reactive-engagement premise).
     """
     if invariant == "replay_determinism":
         if result2 is None:
             raise ValueError("replay_determinism needs a second drive")
-        fp_a, fp_b = drive_fingerprint(result), drive_fingerprint(result2)
-        if fp_a != fp_b:
-            diffs = [
-                f"field {i}: {a!r} != {b!r}"
-                for i, (a, b) in enumerate(zip(fp_a, fp_b))
-                if a != b
-            ]
-            return True, f"re-run diverged: {'; '.join(diffs[:3])}"
-        return False, ""
+        diverged = _divergence(
+            drive_fingerprint(result), drive_fingerprint(result2)
+        )
+        return () if diverged is None else (f"re-run diverged: {diverged}",)
     if invariant == "no_collision_or_safe_stop":
         if result.collided:
-            return True, (
+            return (
                 f"{result.ops.collisions} collision tick(s), min clearance "
-                f"{result.min_obstacle_clearance_m:.3f} m"
+                f"{result.min_obstacle_clearance_m:.3f} m",
             )
         if blocked and not (result.stopped or result.entered_safe_stop):
-            return True, (
+            return (
                 "blocked corridor but the vehicle neither stopped nor "
                 "entered SAFE_STOP (final speed "
-                f"{result.final_state.speed_mps:.2f} m/s)"
+                f"{result.final_state.speed_mps:.2f} m/s)",
             )
-        return False, ""
+        return ()
     if invariant == "deadline_accounting":
         table = result.attribution
         if table is None:
-            return True, "attribution table missing"
+            return ("attribution table missing",)
+        details: List[str] = []
         try:
             table.check_consistency()
         except AssertionError as exc:
-            return True, str(exc)
+            details.append(str(exc))
         if table.total_misses > table.ticks_observed:
-            return True, (
+            details.append(
                 f"{table.total_misses} misses exceed "
                 f"{table.ticks_observed} observed ticks"
             )
         if len(table.records) != table.total_misses:
-            return True, (
+            details.append(
                 f"{len(table.records)} miss records vs total "
                 f"{table.total_misses}"
             )
         if table.total_misses != sum(table.by_stage.values()):
-            return True, (
+            details.append(
                 "per-stage charges do not sum to the total "
                 f"({sum(table.by_stage.values())} vs {table.total_misses})"
             )
-        return False, ""
+        return tuple(details)
     if invariant == "residency_sums_to_one":
         residency = result.mode_residency
         total = sum(residency.values())
+        details = []
         if abs(total - 1.0) > _RESIDENCY_TOL:
-            return True, f"residency fractions sum to {total!r}"
-        for mode, frac in residency.items():
-            if not 0.0 <= frac <= 1.0:
-                return True, f"residency[{mode}] = {frac!r} outside [0, 1]"
-        return False, ""
+            details.append(f"residency fractions sum to {total!r}")
+        details.extend(
+            f"residency[{mode}] = {frac!r} outside [0, 1]"
+            for mode, frac in residency.items()
+            if not 0.0 <= frac <= 1.0
+        )
+        return tuple(details)
     if invariant == "reactive_engagement":
         if sov is None:
             raise ValueError("reactive_engagement needs the sov instance")
-        if any(
-            getattr(f, "kind", "") in _RADAR_CORRUPTING
-            and getattr(f, "sensor", "") == "radar"
-            for f in faults
-        ):
-            return False, ""  # lying radar voids the premise
+        if _radar_corrupted(faults):
+            return ()
         engagements = (
             result.ops.reactive_overrides + result.ops.reactive_holds
         )
         threshold = sov.reactive.threshold_m
         if result.ops.min_forward_range_m <= threshold and engagements == 0:
-            return True, (
+            return (
                 f"forward range reached "
                 f"{result.ops.min_forward_range_m:.2f} m (threshold "
-                f"{threshold:.2f} m) but the reactive path never engaged"
+                f"{threshold:.2f} m) but the reactive path never engaged",
             )
-        return False, ""
+        return ()
     raise ValueError(
         f"unknown invariant {invariant!r}; known: {INVARIANT_NAMES}"
     )
 
 
-def _radar_is_corrupted(scenario: CorridorScenario) -> bool:
-    if scenario.fault_scenario is None:
-        return False
-    return any(
-        fault.kind in _RADAR_CORRUPTING and fault.sensor == "radar"
-        for fault in scenario.fault_scenario.faults
-        if hasattr(fault, "sensor")
-    )
-
-
 def _evaluate_cell(
-    one_drive,
     label: str,
     seed: int,
-    check_determinism: bool,
-    pre_checked: Tuple[str, ...] = (),
-    pre_violations: Tuple[InvariantViolation, ...] = (),
+    cell_id: str,
+    scenario,
+    sov,
+    results: Sequence,
+    scene_fingerprints: Optional[Tuple[Tuple, Tuple]] = None,
     scene_checksum: Optional[int] = None,
-    cell_id: str = "",
 ) -> CellOutcome:
-    """The shared invariant check body: drive the cell via *one_drive*
-    (a zero-argument callable returning ``(scenario, sov, result)``,
-    pure per call) and evaluate every applicable invariant.
+    """Judge one cell's completed drives against every applicable
+    invariant.
 
-    *pre_checked* / *pre_violations* carry scene-level checks the caller
-    ran before driving (the generated-cell regeneration invariant).
-    *cell_id* stamps violations with the campaign cell id so reports can
-    print a paste-able ``--cell-id`` replay line.
+    *sov* and the first of *results* are the cell's drive; a second
+    result is its from-scratch re-drive and turns the
+    ``replay_determinism`` check on.  *scene_fingerprints* pairs a
+    generated scene's fingerprint with its regeneration's and turns the
+    ``scene_regeneration`` check on.  *cell_id* stamps violations so
+    reports can print a paste-able ``--cell-id`` replay line.
     """
-    scenario, sov, result = one_drive()
-    violations: List[InvariantViolation] = list(pre_violations)
-    checked: List[str] = list(pre_checked)
+    result = results[0]
+    result2 = results[1] if len(results) > 1 else None
+    faults = (
+        () if scenario.fault_scenario is None
+        else scenario.fault_scenario.faults
+    )
+    checked: List[str] = []
+    violations: List[InvariantViolation] = []
 
-    def violate(invariant: str, detail: str) -> None:
-        violations.append(
+    def record(invariant: str, details: Sequence[str]) -> None:
+        checked.append(invariant)
+        violations.extend(
             InvariantViolation(
                 invariant=invariant,
                 scenario=label,
@@ -427,98 +439,32 @@ def _evaluate_cell(
                 detail=detail,
                 cell_id=cell_id,
             )
+            for detail in details
         )
 
-    # -- replay determinism ---------------------------------------------------
-    if check_determinism:
-        checked.append("replay_determinism")
-        _scenario2, _sov2, result2 = one_drive()
-        fp_a, fp_b = drive_fingerprint(result), drive_fingerprint(result2)
-        if fp_a != fp_b:
-            diffs = [
-                f"field {i}: {a!r} != {b!r}"
-                for i, (a, b) in enumerate(zip(fp_a, fp_b))
-                if a != b
-            ]
-            violate(
-                "replay_determinism",
-                f"re-run diverged: {'; '.join(diffs[:3])}",
-            )
-
-    # -- no collision / safe stop ---------------------------------------------
-    checked.append("no_collision_or_safe_stop")
-    if result.collided:
-        violate(
-            "no_collision_or_safe_stop",
-            f"{result.ops.collisions} collision tick(s), min clearance "
-            f"{result.min_obstacle_clearance_m:.3f} m",
+    if scene_fingerprints is not None:
+        diverged = _divergence(*scene_fingerprints)
+        record(
+            "scene_regeneration",
+            [] if diverged is None else [f"regeneration diverged: {diverged}"],
         )
-    elif scenario.blocked and not (result.stopped or result.entered_safe_stop):
-        violate(
-            "no_collision_or_safe_stop",
-            "blocked corridor but the vehicle neither stopped nor entered "
-            f"SAFE_STOP (final speed {result.final_state.speed_mps:.2f} m/s)",
+    for invariant in INVARIANT_NAMES:
+        if invariant == "replay_determinism" and result2 is None:
+            continue
+        if invariant == "reactive_engagement" and _radar_corrupted(faults):
+            continue
+        record(
+            invariant,
+            check_drive_invariant(
+                invariant,
+                result,
+                blocked=scenario.blocked,
+                sov=sov,
+                result2=result2,
+                faults=faults,
+            ),
         )
-
-    # -- Eq. 1 deadline accounting --------------------------------------------
-    checked.append("deadline_accounting")
     table = result.attribution
-    if table is None:
-        violate("deadline_accounting", "attribution table missing")
-    else:
-        try:
-            table.check_consistency()
-        except AssertionError as exc:
-            violate("deadline_accounting", str(exc))
-        if table.total_misses > table.ticks_observed:
-            violate(
-                "deadline_accounting",
-                f"{table.total_misses} misses exceed "
-                f"{table.ticks_observed} observed ticks",
-            )
-        if len(table.records) != table.total_misses:
-            violate(
-                "deadline_accounting",
-                f"{len(table.records)} miss records vs total "
-                f"{table.total_misses}",
-            )
-        if table.total_misses != sum(table.by_stage.values()):
-            violate(
-                "deadline_accounting",
-                "per-stage charges do not sum to the total "
-                f"({sum(table.by_stage.values())} vs {table.total_misses})",
-            )
-
-    # -- residency distribution ------------------------------------------------
-    checked.append("residency_sums_to_one")
-    residency = result.mode_residency
-    total = sum(residency.values())
-    if abs(total - 1.0) > _RESIDENCY_TOL:
-        violate(
-            "residency_sums_to_one",
-            f"residency fractions sum to {total!r}",
-        )
-    for mode, frac in residency.items():
-        if not 0.0 <= frac <= 1.0:
-            violate(
-                "residency_sums_to_one",
-                f"residency[{mode}] = {frac!r} outside [0, 1]",
-            )
-
-    # -- reactive engagement ----------------------------------------------------
-    engagements = result.ops.reactive_overrides + result.ops.reactive_holds
-    if not _radar_is_corrupted(scenario):
-        checked.append("reactive_engagement")
-        threshold = sov.reactive.threshold_m
-        crossed = result.ops.min_forward_range_m <= threshold
-        if crossed and engagements == 0:
-            violate(
-                "reactive_engagement",
-                f"forward range reached "
-                f"{result.ops.min_forward_range_m:.2f} m (threshold "
-                f"{threshold:.2f} m) but the reactive path never engaged",
-            )
-
     return CellOutcome(
         scenario=label,
         seed=seed,
@@ -529,7 +475,9 @@ def _evaluate_cell(
         final_x_m=result.final_state.x_m,
         min_clearance_m=result.min_obstacle_clearance_m,
         min_forward_range_m=result.ops.min_forward_range_m,
-        reactive_engagements=engagements,
+        reactive_engagements=(
+            result.ops.reactive_overrides + result.ops.reactive_holds
+        ),
         deadline_misses=0 if table is None else table.total_misses,
         checked=tuple(checked),
         violations=tuple(violations),
@@ -544,7 +492,6 @@ def run_invariant_cell(
     seed: int = 0,
     check_determinism: bool = True,
     deadline_budget_s: Optional[float] = None,
-    **config_overrides,
 ) -> CellOutcome:
     """Drive one cell under the protected configuration and check every
     applicable invariant.
@@ -553,36 +500,24 @@ def run_invariant_cell(
     :mod:`repro.scene.providers`): a bare corridor name (``"slalom"``),
     a qualified one, or a generated family (``"procgen:crossroads"``).
     *deadline_budget_s* tightens the Eq. 1 budget for the accounting
-    invariant (None: the paper's worst-case avoidance budget).  Extra
-    keyword arguments pass through to
-    :class:`~repro.runtime.sov.SovConfig` — the determinism re-run uses
-    the identical configuration.
+    invariant (None: the paper's worst-case avoidance budget).
     """
+    from ..fleetops.cells import CellSpec, InvariantCell, run_cell
 
-    def one_drive():
-        scenario = resolve_scene(name, seed)
-        sov = make_corridor_sov(scenario, safety_net=True, **config_overrides)
-        sov.enable_attribution(deadline_budget_s)
-        return scenario, sov, sov.drive(scenario.duration_s)
-
-    suffix = "" if check_determinism else ":nodet"
-    return _evaluate_cell(
-        one_drive,
-        name,
-        seed,
-        check_determinism,
-        cell_id=f"invariant:{name}:{seed}{suffix}",
+    cell = InvariantCell(
+        name=name,
+        seed=seed,
+        deadline_budget_s=deadline_budget_s,
+        check_determinism=check_determinism,
     )
+    return run_cell(CellSpec(kind="invariant", index=0, cell=cell)).record
 
 
 def run_generated_cell(
     space=None,
     generator_seed: int = 0,
     cell_index: int = 0,
-    topology: Optional[str] = None,
     check_determinism: bool = True,
-    deadline_budget_s: Optional[float] = None,
-    **config_overrides,
 ) -> CellOutcome:
     """Check one procedurally generated cell ``(generator_seed,
     cell_index)`` of *space* (None: the default
@@ -594,57 +529,17 @@ def run_generated_cell(
     consumer of generated scenes leans on.  The outcome carries the
     scene's determinism checksum for campaign-level fingerprinting.
     """
-    from ..scene.procgen import (
-        DEFAULT_SPACE,
-        scene_checksum as _scene_checksum,
-        scene_fingerprint,
-    )
+    from ..fleetops.cells import CellSpec, ProcGenCell, run_cell
+    from ..scene.procgen import DEFAULT_SPACE
 
-    space = DEFAULT_SPACE if space is None else space
-    scenario = space.sample(generator_seed, cell_index, topology=topology)
-    label = f"procgen:{scenario.topology}[{cell_index}]"
-    suffix = "" if check_determinism else ":nodet"
-    cell_id = (
-        f"procgen:{generator_seed}:{cell_index}"
-        f":i{space.intensity:g}{suffix}"
+    cell = ProcGenCell(
+        space=DEFAULT_SPACE if space is None else space,
+        generator_seed=generator_seed,
+        cell_index=cell_index,
+        check_determinism=check_determinism,
     )
-    pre_checked = ("scene_regeneration",)
-    pre_violations: List[InvariantViolation] = []
-    regenerated = space.sample(generator_seed, cell_index, topology=topology)
-    fp_a = scene_fingerprint(scenario)
-    fp_b = scene_fingerprint(regenerated)
-    if fp_a != fp_b:
-        diffs = [
-            f"field {i}: {a!r} != {b!r}"
-            for i, (a, b) in enumerate(zip(fp_a, fp_b))
-            if a != b
-        ]
-        pre_violations.append(
-            InvariantViolation(
-                invariant="scene_regeneration",
-                scenario=label,
-                seed=generator_seed,
-                detail=f"regeneration diverged: {'; '.join(diffs[:3])}",
-                cell_id=cell_id,
-            )
-        )
-
-    def one_drive():
-        fresh = space.sample(generator_seed, cell_index, topology=topology)
-        sov = make_corridor_sov(fresh, safety_net=True, **config_overrides)
-        sov.enable_attribution(deadline_budget_s)
-        return fresh, sov, sov.drive(fresh.duration_s)
-
-    return _evaluate_cell(
-        one_drive,
-        label,
-        generator_seed,
-        check_determinism,
-        pre_checked=pre_checked,
-        pre_violations=tuple(pre_violations),
-        scene_checksum=_scene_checksum(scenario),
-        cell_id=cell_id,
-    )
+    spec = CellSpec(kind="procgen", index=cell_index, cell=cell)
+    return run_cell(spec).record
 
 
 def run_invariant_matrix(
@@ -652,102 +547,36 @@ def run_invariant_matrix(
     seeds: Sequence[int] = (0, 1, 2),
     check_determinism: bool = True,
     deadline_budget_s: Optional[float] = None,
-    engine: str = "serial",
-    n_workers: int = 4,
-    **config_overrides,
+    fleet=None,
 ) -> MatrixReport:
     """Sweep every ``scenario x seed`` cell (None: the whole suite).
 
-    ``engine="fleet"`` runs the sweep on the fault-tolerant fleet
-    substrate (:mod:`repro.fleetops`) with *n_workers* processes and
-    exactly-once accounting; cells come back in the same order as the
-    serial path.  Per-cell ``SovConfig`` overrides only ride the serial
-    path (they are not part of the picklable fleet cell contract).
-
-    ``engine="batched"`` advances every cell's vehicle (including the
-    determinism re-drive) in lockstep through the vectorized
-    multi-drive stepper (:mod:`repro.runtime.batched`) — bit-identical
-    outcomes, one process, vectorized planning across the whole sweep.
+    *fleet* is a :class:`~repro.fleetops.supervisor.FleetConfig` to run
+    the sweep on the fault-tolerant worker pool with exactly-once
+    accounting (None: in process through
+    :func:`~repro.fleetops.cells.run_cells`).  Cells come
+    back in the same order, bit-identical, either way.
     """
+    from ..fleetops.cells import invariant_cells, run_cells
+
     if not seeds:
         raise ValueError("need at least one seed")
-    if engine not in ("serial", "fleet", "batched"):
-        raise ValueError(
-            f"unknown engine {engine!r}; use serial, fleet, or batched"
-        )
-    if engine == "batched":
-        from ..runtime.batched import drive_batch
+    specs = invariant_cells(
+        names=names,
+        seeds=seeds,
+        check_determinism=check_determinism,
+        deadline_budget_s=deadline_budget_s,
+    )
+    if fleet is None:
+        return MatrixReport(cells=[r.record for r in run_cells(specs)])
+    from ..fleetops.supervisor import FleetSupervisor
 
-        name_list = (
-            list(names) if names is not None else list(corridor_names())
+    report = FleetSupervisor(fleet).run(specs)
+    if not report.ok:
+        raise RuntimeError(
+            "fleet invariant matrix incomplete: "
+            f"lost={report.lost_cells} "
+            f"duplicates={report.duplicate_cells} "
+            f"failed={len(report.failed_cells)}"
         )
-        coords = [(name, seed) for name in name_list for seed in seeds]
-        drives_per_cell = 2 if check_determinism else 1
-        sovs, durations, scenarios = [], [], []
-        for name, seed in coords:
-            for _rep in range(drives_per_cell):
-                scenario = resolve_scene(name, seed)
-                sov = make_corridor_sov(
-                    scenario, safety_net=True, **config_overrides
-                )
-                sov.enable_attribution(deadline_budget_s)
-                scenarios.append(scenario)
-                sovs.append(sov)
-                durations.append(scenario.duration_s)
-        drive_results = drive_batch(sovs, durations)
-        triples = iter(zip(scenarios, sovs, drive_results))
-        suffix = "" if check_determinism else ":nodet"
-        report = MatrixReport()
-        for name, seed in coords:
-            report.cells.append(
-                _evaluate_cell(
-                    lambda: next(triples),
-                    name,
-                    seed,
-                    check_determinism,
-                    cell_id=f"invariant:{name}:{seed}{suffix}",
-                )
-            )
-        return report
-    if engine == "fleet":
-        if config_overrides:
-            raise ValueError(
-                "SovConfig overrides require engine='serial' (fleet cells "
-                "carry only the picklable scenario/seed coordinates)"
-            )
-        from ..fleetops.cells import invariant_cells
-        from ..fleetops.supervisor import FleetConfig, FleetSupervisor
-
-        specs = list(
-            invariant_cells(
-                names=names,
-                seeds=seeds,
-                check_determinism=check_determinism,
-                deadline_budget_s=deadline_budget_s,
-            )
-        )
-        fleet_report = FleetSupervisor(FleetConfig(n_workers=n_workers)).run(
-            specs
-        )
-        if not fleet_report.ok:
-            raise RuntimeError(
-                "fleet invariant matrix incomplete: "
-                f"lost={fleet_report.lost_cells} "
-                f"duplicates={fleet_report.duplicate_cells} "
-                f"failed={len(fleet_report.failed_cells)}"
-            )
-        ordered = sorted(fleet_report.results, key=lambda r: r.index)
-        return MatrixReport(cells=[r.record for r in ordered])
-    report = MatrixReport()
-    for name in names if names is not None else corridor_names():
-        for seed in seeds:
-            report.cells.append(
-                run_invariant_cell(
-                    name,
-                    seed,
-                    check_determinism=check_determinism,
-                    deadline_budget_s=deadline_budget_s,
-                    **config_overrides,
-                )
-            )
-    return report
+    return MatrixReport(cells=[r.record for r in report.results])

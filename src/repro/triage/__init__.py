@@ -46,7 +46,7 @@ from .flakes import (
     label_stats,
     replica_cell,
 )
-from .oracle import TriageOutcome, execute_triage_cell
+from .oracle import TriageOutcome
 from .replay import export_cell_trace, replay_cell
 from .shrink import Shrinker, ShrinkResult, ddmin, shrink_violation
 
@@ -74,7 +74,6 @@ __all__ = [
     "label_stats",
     "replica_cell",
     "TriageOutcome",
-    "execute_triage_cell",
     "export_cell_trace",
     "replay_cell",
     "Shrinker",

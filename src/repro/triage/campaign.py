@@ -227,7 +227,7 @@ def run_triage_campaign(
     corpus_dir: str = "corpus",
 ) -> TriageCampaignResult:
     """Run the full harvest -> shrink -> classify -> file -> replay loop."""
-    from ..fleetops.cells import CellSpec, run_cell
+    from ..fleetops.cells import CellSpec, run_cells
 
     config = config or TriageCampaignConfig()
     started = time.perf_counter()
@@ -236,8 +236,11 @@ def run_triage_campaign(
     # 1. Harvest: run every candidate, keep the violators.
     candidates = harvest_candidates(config)
     result.n_candidates = len(candidates)
-    for cell in candidates:
-        cell_result = run_cell(CellSpec(kind="triage", index=0, cell=cell))
+    harvested = run_cells(
+        CellSpec(kind="triage", index=i, cell=cell)
+        for i, cell in enumerate(candidates)
+    )
+    for cell, cell_result in zip(candidates, harvested):
         if cell_result.record.violated:
             result.violations.append((cell, cell_result.record))
 

@@ -4,9 +4,10 @@ Every question the failure-triage engine asks — "does this candidate
 still violate?", "is this replica flaky?", "does this corpus record
 still reproduce bit-identically?" — reduces to executing one
 :class:`~repro.fleetops.cells.TriageCell` and evaluating its target
-invariant.  This module is that single execution path, shared by the
-shrinker, the flake protocol, the corpus replayer, and the fleet runner
-(``run_cell`` on a ``kind="triage"`` spec dispatches here).
+invariant.  This module builds that cell's drive and judges it; the
+``kind="triage"`` entry of :data:`repro.fleetops.cells.CELL_KINDS`
+drives it, so the shrinker, the flake protocol, the corpus replayer,
+and the fleet runner all share one execution path (``run_cell``).
 
 The contract matches every other cell kind: **pure per cell**.  The
 scene regenerates from ``(scene, scene_seed, cell_index, space)``, the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 #: The scene name for the chaos drill lane (single obstacle, straight).
 DRILL_LANE = "drill-lane"
@@ -155,8 +156,12 @@ def base_duration_s(cell) -> float:
     return scenario.duration_s
 
 
-def _drive_once(cell):
-    """Build the sov for *cell* and drive it; returns (scenario, sov, result)."""
+def build_triage_drive(cell):
+    """Build the sov for *cell* without driving it.
+
+    Returns ``(scenario, sov, duration_s)``; *scenario* is None for the
+    drill lane.
+    """
     from ..robustness.faults import FaultScenario
     from ..runtime.sov import SovConfig, SystemsOnAVehicle
 
@@ -205,15 +210,18 @@ def _drive_once(cell):
         if cell.duration_s is not None
         else (DRILL_DURATION_S if scenario is None else scenario.duration_s)
     )
-    return scenario, sov, sov.drive(duration), duration
+    return scenario, sov, duration
 
 
-def execute_triage_cell(cell) -> Tuple[TriageOutcome, "object"]:
-    """Run *cell* and evaluate its target invariant.
+def judge_triage_drive(
+    cell, scenario, sov, duration_s, results
+) -> TriageOutcome:
+    """Evaluate *cell*'s target invariant on its completed drive.
 
-    Returns ``(outcome, DriveResult)``; the caller fingerprints the
-    result (:func:`repro.testing.invariants.drive_fingerprint`) for the
-    bit-identity checks the corpus replayer performs.
+    *scenario*, *sov* and *duration_s* come from
+    :func:`build_triage_drive`; *results* holds the drive's
+    :class:`~repro.runtime.sov.DriveResult` and, for a
+    ``replay_determinism`` cell, its independently built re-run.
     """
     from ..testing.invariants import (
         check_drive_invariant,
@@ -221,33 +229,27 @@ def execute_triage_cell(cell) -> Tuple[TriageOutcome, "object"]:
         dominant_attribution_stage,
     )
 
-    scenario, sov, result, duration = _drive_once(cell)
-    result2 = None
-    if cell.invariant == "replay_determinism":
-        _s2, _sov2, result2, _d2 = _drive_once(cell)
-    blocked = bool(getattr(scenario, "blocked", False))
-    violated, detail = check_drive_invariant(
+    result = results[0]
+    details = check_drive_invariant(
         cell.invariant,
         result,
-        blocked=blocked,
+        blocked=bool(getattr(scenario, "blocked", False)),
         sov=sov,
-        result2=result2,
+        result2=results[1] if len(results) > 1 else None,
         faults=cell.faults,
     )
-    n_agents = 0 if scenario is None else len(scenario.world.agents)
-    outcome = TriageOutcome(
-        violated=violated,
+    return TriageOutcome(
+        violated=bool(details),
         invariant=cell.invariant,
-        detail=detail,
+        detail=details[0] if details else "",
         collided=result.collided,
         stopped=result.stopped,
         entered_safe_stop=result.entered_safe_stop,
         final_mode=result.final_mode,
         min_clearance_m=result.min_obstacle_clearance_m,
-        duration_s=duration,
+        duration_s=duration_s,
         n_faults=len(cell.faults),
-        n_agents=n_agents,
+        n_agents=0 if scenario is None else len(scenario.world.agents),
         dominant_stage=dominant_attribution_stage(result),
         mode_trajectory=degradation_trajectory(sov),
     )
-    return outcome, result

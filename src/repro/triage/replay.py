@@ -27,16 +27,17 @@ def export_cell_trace(spec, trace_path: str) -> bool:
     from ..scene.corridors import make_corridor_sov
     from ..scene.providers import resolve_scene
 
+    cell = spec.cell
+    budget_s = None
     if spec.kind == "invariant":
-        cell = spec.cell
         scenario = resolve_scene(cell.name, cell.seed)
+        budget_s = cell.deadline_budget_s
     elif spec.kind == "procgen":
-        cell = spec.cell
         scenario = cell.space.sample(cell.generator_seed, cell.cell_index)
     else:
         return False
     sov = make_corridor_sov(scenario, safety_net=True, tracing_enabled=True)
-    sov.enable_attribution()
+    sov.enable_attribution(budget_s)
     result = sov.drive(scenario.duration_s)
     assert result.trace is not None
     result.trace.export_json(trace_path)

@@ -1,18 +1,17 @@
-"""Tests for the batched cell engine and the campaign CRC."""
+"""Tests for the lockstep cell executor (``run_cells``) and the campaign CRC."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.fleetops.cells import (
-    CELL_ENGINES,
+    LOCKSTEP_GROUP,
     campaign_crc,
     chaos_cells,
     invariant_cells,
     run_cell,
     run_cells,
 )
-from repro.robustness.chaos import ChaosConfig, FaultSpace
+from repro.robustness.chaos import ChaosConfig, FaultSpace, run_chaos_drive
+from repro.testing.invariants import drive_fingerprint
 
 
 def _specs(n: int = 4, seed: int = 3):
@@ -28,18 +27,13 @@ def test_run_cells_serial_equals_run_cell():
 
 
 def test_batched_engine_bit_identical_to_serial():
+    # The lockstep group against the scalar reference drive.
     specs = _specs(4)
-    serial = run_cells(specs)
-    batched = run_cells(specs, engine="batched")
-    assert [r.identity() for r in serial] == [
-        r.identity() for r in batched
-    ]
-    assert campaign_crc(serial) == campaign_crc(batched)
-    # Records (the campaign's analytic payload) must agree too.
-    for a, b in zip(serial, batched):
-        assert a.summary == b.summary
-        assert a.record.mode_residency == b.record.mode_residency
-        assert a.record.deadline_misses == b.record.deadline_misses
+    for result, spec in zip(run_cells(specs), specs):
+        record, drive = run_chaos_drive(spec.cell.config, spec.index)
+        assert result.fingerprint == drive_fingerprint(drive)
+        # Records (the campaign's analytic payload) must agree too.
+        assert result.record == record
 
 
 def test_batched_engine_mixed_kinds_preserves_order():
@@ -47,18 +41,38 @@ def test_batched_engine_mixed_kinds_preserves_order():
     invariant = list(invariant_cells(names=["slalom"], seeds=(0,)))
     # Interleave: invariant cell between the chaos cells.
     specs = [chaos[0], invariant[0], chaos[1]]
-    serial = run_cells(specs)
-    batched = run_cells(specs, engine="batched")
-    assert [r.cell_id for r in batched] == [s.cell_id for s in specs]
-    assert [r.identity() for r in serial] == [
-        r.identity() for r in batched
+    grouped = run_cells(specs)
+    assert [r.cell_id for r in grouped] == [s.cell_id for s in specs]
+    assert [r.identity() for r in grouped] == [
+        run_cell(s).identity() for s in specs
     ]
 
 
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown engine"):
-        run_cells(_specs(1), engine="warp")
-    assert CELL_ENGINES == ("serial", "batched")
+def test_run_cells_pulls_one_lockstep_group_at_a_time(monkeypatch):
+    from repro.runtime import batched
+
+    pulled = []
+    calls = []
+    drive_batch = batched.drive_batch
+
+    def spy(sovs, durations):
+        calls.append((len(sovs), len(pulled)))
+        return drive_batch(sovs, durations)
+
+    monkeypatch.setattr(batched, "drive_batch", spy)
+    config = ChaosConfig(n_drives=LOCKSTEP_GROUP + 1, seed=3, duration_s=0.5)
+
+    def specs():
+        for spec in chaos_cells(config):
+            pulled.append(spec)
+            yield spec
+
+    results = run_cells(specs())
+    assert [r.index for r in results] == list(range(LOCKSTEP_GROUP + 1))
+    assert calls == [
+        (LOCKSTEP_GROUP, LOCKSTEP_GROUP),
+        (1, LOCKSTEP_GROUP + 1),
+    ]
 
 
 def test_campaign_crc_is_order_independent_and_sensitive():

@@ -22,6 +22,7 @@ from repro.fleetops.cells import (
 )
 from repro.robustness.chaos import (
     ChaosConfig,
+    FaultSpace,
     iter_cells,
     run_chaos_campaign,
     run_chaos_drive,
@@ -35,7 +36,24 @@ class TestSpecs:
         specs = list(chaos_cells(CFG))
         ids = [s.cell_id for s in specs]
         assert len(set(ids)) == len(ids)
-        assert ids[0] == "chaos:drill-lane:7:0:net"
+        # CFG's 2 s drives are not the default shape: the id carries a
+        # CRC of (space, duration, obstacle distance, initial speed).
+        assert ids[0] == "chaos:drill-lane:7:0:net:x265f9683"
+
+    def test_chaos_id_tells_drive_shapes_apart(self):
+        def first_id(**overrides):
+            return next(chaos_cells(ChaosConfig(n_drives=1, **overrides))).cell_id
+
+        assert first_id() == "chaos:drill-lane:0:0:net"
+        shaped = {
+            first_id(duration_s=2.0),
+            first_id(duration_s=3.0),
+            first_id(obstacle_distance_m=18.0),
+            first_id(initial_speed_mps=4.0),
+            first_id(space=FaultSpace(intensity=2.0)),
+        }
+        assert len(shaped) == 5
+        assert all(i.startswith("chaos:drill-lane:0:0:net:x") for i in shaped)
 
     def test_corridor_and_arm_in_chaos_id(self):
         cfg = ChaosConfig(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fleetops.cells import chaos_cells, run_cell
+from repro.fleetops.cells import chaos_cells, invariant_cells, run_cell
 from repro.fleetops.injection import WorkerFaultPlan, truncate_journal_tail
 from repro.fleetops.journal import load_journal
 from repro.fleetops.supervisor import (
@@ -176,6 +176,27 @@ class TestResume:
         with pytest.raises(ValueError, match="refusing"):
             FleetSupervisor(FleetConfig(n_workers=1)).run(
                 other, journal_path=journal_path
+            )
+
+    def test_journal_of_another_deadline_budget_refused(self, tmp_path):
+        # Same scenario and seed, another Eq. 1 budget: another drive,
+        # so resuming must not reuse the journaled result.
+        journal_path = str(tmp_path / "journal.jsonl")
+
+        def grid(budget_s):
+            return invariant_cells(
+                names=["occluded_crossing_stalled"],
+                seeds=(0,),
+                check_determinism=False,
+                deadline_budget_s=budget_s,
+            )
+
+        FleetSupervisor(FleetConfig(n_workers=1)).run(
+            grid(None), journal_path=journal_path
+        )
+        with pytest.raises(ValueError, match="refusing"):
+            FleetSupervisor(FleetConfig(n_workers=1)).run(
+                grid(0.15), journal_path=journal_path
             )
 
 

@@ -1,8 +1,9 @@
 """Tests for the scalar-vs-batched differential equivalence harness.
 
-The fast slice here is tier-1; the full matrix (every corridor x seed x
-fault cell plus a procgen block, >= 200 cells) is ``slow``-marked and
-runs nightly.
+The fast slice here is tier-1 — including one mixed grid of every cell
+kind through the cell executor, one at a time, and the worker pool; the
+full matrix (every corridor x seed x fault cell plus a procgen block,
+>= 200 cells) is ``slow``-marked and runs nightly.
 """
 
 from __future__ import annotations
@@ -76,6 +77,94 @@ def test_cell_enumeration_grid_shape():
         "diff:procgen:0:0",
         "diff:procgen:0:1",
     ]
+
+
+def _mixed_grid():
+    """One grid of every cell kind: chaos on the drill lane and on a
+    corridor, invariant with the determinism re-drive, procgen, drill,
+    and triage (one of them a two-drive ``replay_determinism`` cell)."""
+    from repro.fleetops.cells import (
+        CellSpec,
+        ChaosCell,
+        DrillCell,
+        InvariantCell,
+        ProcGenCell,
+        TriageCell,
+    )
+    from repro.robustness.chaos import ChaosConfig, FaultSpace
+    from repro.scene.procgen import DEFAULT_SPACE
+
+    payloads = [
+        ("chaos", ChaosCell(ChaosConfig(n_drives=1, seed=3, duration_s=3.0), 0)),
+        ("chaos", ChaosCell(ChaosConfig(n_drives=1, seed=5, corridor="slalom"), 0)),
+        ("invariant", InvariantCell(name="cluttered_stop", seed=0)),
+        ("procgen", ProcGenCell(space=DEFAULT_SPACE, generator_seed=0, cell_index=1)),
+        ("drill", DrillCell(scenario="camera_blackout")),
+        (
+            "triage",
+            TriageCell(
+                sim_seed=7,
+                faults=FaultSpace(intensity=2.0).sample_schedule(0, 1, 3),
+                duration_s=4.0,
+            ),
+        ),
+        (
+            "triage",
+            TriageCell(
+                scene="slalom",
+                scene_seed=1,
+                sim_seed=1,
+                duration_s=3.0,
+                safety_net=True,
+                invariant="replay_determinism",
+            ),
+        ),
+    ]
+    return [
+        CellSpec(kind=kind, index=i, cell=cell)
+        for i, (kind, cell) in enumerate(payloads)
+    ]
+
+
+def test_one_executor_mixed_grid(monkeypatch):
+    """Every kind through run_cells, one at a time, and the pool: one
+    campaign CRC; every drive matches the scalar ``sov.drive``."""
+    from repro.fleetops.cells import CELL_KINDS, campaign_crc, run_cell, run_cells
+    from repro.fleetops.supervisor import FleetConfig, FleetSupervisor
+    from repro.runtime import batched
+    from repro.testing.invariants import drive_fingerprint
+
+    specs = _mixed_grid()
+    driven = []
+    drive_batch = batched.drive_batch
+
+    def spy(sovs, durations):
+        results = drive_batch(sovs, durations)
+        driven.extend(drive_fingerprint(r) for r in results)
+        return results
+
+    monkeypatch.setattr(batched, "drive_batch", spy)
+    grouped = run_cells(specs)
+    monkeypatch.undo()
+
+    scalar = []
+    for spec in specs:
+        _context, drives = CELL_KINDS[spec.kind].build(spec.cell)
+        scalar.extend(
+            drive_fingerprint(sov.drive(duration)) for sov, duration in drives
+        )
+    assert len(driven) == len(specs) + 3  # three cells re-drive
+    assert driven == scalar
+
+    alone = [run_cell(spec) for spec in specs]
+    pool = FleetSupervisor(FleetConfig(n_workers=2)).run(specs)
+    assert pool.ok
+    identities = [r.identity() for r in grouped]
+    assert [r.identity() for r in alone] == identities
+    assert [r.identity() for r in pool.results] == identities
+    assert campaign_crc(alone) == campaign_crc(pool.results) == campaign_crc(
+        grouped
+    )
 
 
 def test_batch_size_validation():

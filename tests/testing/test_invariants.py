@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fleetops.supervisor import FleetConfig
 from repro.scene.corridors import corridor_names, run_corridor_drive
 from repro.testing.invariants import (
     INVARIANT_NAMES,
@@ -104,6 +105,43 @@ class TestDeadlineAttribution:
             "occluded_crossing_stalled", seed=0, check_determinism=False
         )
         assert cell.deadline_misses == 0
+
+    def test_every_failing_accounting_check_is_reported(self):
+        # A table with more misses than ticks and no miss records fails
+        # two accounting checks: the matrix records both, in check order,
+        # and the single-invariant face returns the same two details.
+        import dataclasses
+
+        from repro.observability.attribution import AttributionTable
+        from repro.scene.corridors import make_corridor_sov
+        from repro.scene.providers import resolve_scene
+        from repro.testing.invariants import (
+            _evaluate_cell,
+            check_drive_invariant,
+        )
+
+        scenario = resolve_scene("slalom", 0)
+        sov = make_corridor_sov(scenario, safety_net=True)
+        sov.enable_attribution()
+        broken = dataclasses.replace(
+            sov.drive(scenario.duration_s),
+            attribution=AttributionTable(
+                budget_s=0.1,
+                ticks_observed=2,
+                total_misses=3,
+                by_stage={"perception": 3},
+                by_mode={"NOMINAL": 3},
+            ),
+        )
+        details = (
+            "3 misses exceed 2 observed ticks",
+            "0 miss records vs total 3",
+        )
+        assert check_drive_invariant("deadline_accounting", broken) == details
+        outcome = _evaluate_cell("slalom", 0, "", scenario, sov, [broken])
+        assert [(v.invariant, v.detail) for v in outcome.violations] == [
+            ("deadline_accounting", detail) for detail in details
+        ]
 
 
 class TestMatrix:
@@ -208,48 +246,43 @@ class TestGeneratedCells:
 class TestFleetEngineMatrix:
     def test_fleet_matrix_matches_serial(self):
         names = ("slalom", "cluttered_stop")
-        serial = run_invariant_matrix(
+        in_process = run_invariant_matrix(
             names=names, seeds=(0,), check_determinism=False
         )
         fleet = run_invariant_matrix(
             names=names,
             seeds=(0,),
             check_determinism=False,
-            engine="fleet",
-            n_workers=2,
+            fleet=FleetConfig(n_workers=2),
         )
-        assert [c for c in fleet.cells] == [c for c in serial.cells]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            run_invariant_matrix(names=("slalom",), seeds=(0,), engine="boat")
-
-    def test_fleet_engine_rejects_config_overrides(self):
-        with pytest.raises(ValueError, match="serial"):
-            run_invariant_matrix(
-                names=("slalom",),
-                seeds=(0,),
-                engine="fleet",
-                reactive_enabled=False,
-            )
+        assert fleet.cells == in_process.cells
 
 
 class TestBatchedEngine:
+    """The matrix drives its cells in one lockstep group."""
+
     def test_batched_engine_matches_serial(self):
         names = ("slalom", "narrow_gap")
-        serial = run_invariant_matrix(
+        grouped = run_invariant_matrix(
             names=names, seeds=(0,), check_determinism=False
         )
-        batched = run_invariant_matrix(
-            names=names, seeds=(0,), check_determinism=False,
-            engine="batched",
-        )
-        assert batched.cells == serial.cells
+        alone = [
+            run_invariant_cell(name, 0, check_determinism=False)
+            for name in names
+        ]
+        assert grouped.cells == alone
+        # ... and each matches the scalar reference drive.
+        for name, cell in zip(names, grouped.cells):
+            _scenario, result = run_corridor_drive(name, seed=0)
+            assert cell.final_x_m == result.final_state.x_m
+            assert cell.min_clearance_m == result.min_obstacle_clearance_m
 
     def test_batched_engine_runs_determinism_redrive(self):
+        # Both cells and both re-drives share one lockstep group.
         report = run_invariant_matrix(
-            names=("slalom",), seeds=(0,), engine="batched"
+            names=("slalom", "narrow_gap"), seeds=(0,)
         )
-        [cell] = report.cells
-        assert "replay_determinism" in cell.checked
-        assert cell.ok, report.format_report()
+        assert report.n_cells == 2
+        for cell in report.cells:
+            assert "replay_determinism" in cell.checked
+        assert report.ok, report.format_report()

@@ -133,6 +133,48 @@ def test_parse_rejects_triage_and_garbage_ids():
         parse_cell_id("invariant:urban-slalom:notanint")
 
 
+def test_parse_invariant_budget_round_trips():
+    tight = InvariantCell(
+        name="occluded_crossing_stalled", seed=0, deadline_budget_s=0.15
+    )
+    assert tight.cell_id == "invariant:occluded_crossing_stalled:0:b0.15"
+    for original in (
+        tight,
+        # Seven significant digits: a :g spelling would round them off.
+        InvariantCell(
+            name="procgen:straight",
+            seed=2,
+            deadline_budget_s=0.1234567,
+            check_determinism=False,
+        ),
+    ):
+        spec = parse_cell_id(original.cell_id)
+        assert spec.cell == original
+        assert spec.cell_id == original.cell_id
+
+
+def test_tight_budget_id_replays_the_same_misses():
+    cell = InvariantCell(
+        name="occluded_crossing_stalled",
+        seed=0,
+        deadline_budget_s=0.15,
+        check_determinism=False,
+    )
+    original = run_cell(CellSpec(kind="invariant", index=0, cell=cell))
+    replayed = run_cell(parse_cell_id(cell.cell_id))
+    assert original.record.deadline_misses > 0
+    assert replayed.identity() == original.identity()
+
+
+def test_parse_refuses_chaos_ids_of_a_non_default_config():
+    from repro.fleetops.cells import chaos_cells
+    from repro.robustness.chaos import ChaosConfig
+
+    spec = next(chaos_cells(ChaosConfig(n_drives=1, duration_s=2.0)))
+    with pytest.raises(ValueError, match="not replayable from its id"):
+        parse_cell_id(spec.cell_id)
+
+
 # -- S1: the supervisor surfaces worker failure details -----------------------
 
 
