@@ -4,11 +4,8 @@ import pytest
 
 from repro.experiments import run_experiment
 from repro.experiments.fault_campaign import radar_blackout_scenario, run_drill
-from repro.robustness.chaos import (
-    ChaosConfig,
-    replay_drive,
-    run_chaos_campaign,
-)
+from repro.fleetops.cells import ChaosCell, parse_cell_id, run_cell
+from repro.robustness.chaos import ChaosConfig, run_chaos_campaign
 from repro.robustness.degradation import DegradationMode
 from repro.runtime.scheduler import PipelinedExecutor
 
@@ -66,14 +63,14 @@ def test_envelope_is_deterministic_per_seed():
 
 
 def test_replay_reproduces_campaign_drives():
-    campaign = run_chaos_campaign(ChaosConfig(n_drives=6, seed=SMOKE_SEED))
+    config = ChaosConfig(n_drives=6, seed=SMOKE_SEED)
+    campaign = run_chaos_campaign(config)
     for record in campaign.records[:3]:
-        _scenario, result = replay_drive(SMOKE_SEED, record.index)
-        assert result.collided == record.collided
-        assert result.final_mode == record.final_mode
-        assert result.min_obstacle_clearance_m == pytest.approx(
-            record.min_clearance_m
-        )
+        cell_id = ChaosCell(config, record.index).cell_id
+        replayed = run_cell(parse_cell_id(cell_id)).record
+        assert replayed.collided == record.collided
+        assert replayed.final_mode == record.final_mode
+        assert replayed.min_clearance_m == record.min_clearance_m
 
 
 def test_degraded_iteration_latency_never_exceeds_nominal():

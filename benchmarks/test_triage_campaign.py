@@ -53,8 +53,8 @@ def test_campaign_arms_dedup_and_corpus_on_disk(tmp_path):
     )
 
     # Both harvest arms must contribute violations.
-    arms = {cell.origin.split(":")[0] for cell, _ in result.violations}
-    assert arms == {"chaos", "procgen"}
+    arms = {cell.scene.split(":")[0] for cell, _ in result.violations}
+    assert arms == {"drill-lane", "procgen"}
 
     # Dedup by fingerprint: unique count matches the distinct fingerprints.
     fingerprints = set(result.fingerprints.values())

@@ -5,8 +5,8 @@ drives each through the closed-loop SoV with and without the safety net,
 then bisects the fault-intensity dial until the net leaks a collision.
 Prints the collision-free envelope — collision/SAFE_STOP rates, mode
 residency, MTTR percentiles, shed work, the Eq. 1 deadline-miss
-attribution table — plus a replay of the first unprotected failure,
-demonstrating the per-seed replay hook.
+attribution table — plus a replay of the first unprotected failure from
+its cell id alone, with and without the net.
 
 Usage::
 
@@ -15,10 +15,10 @@ Usage::
 
 import sys
 
+from repro.fleetops.cells import parse_cell_id, run_cell
 from repro.robustness.chaos import (
     ChaosConfig,
     adaptive_intensity_frontier,
-    replay_drive,
     run_chaos_campaign,
 )
 
@@ -70,17 +70,16 @@ def main() -> None:
 
     if unprotected.failing_indices:
         index = unprotected.failing_indices[0]
-        scenario, result = replay_drive(SEED, index, safety_net=False)
-        print(
-            f"\nreplay of failing drive {index} ({scenario.description}): "
-            f"collided={result.collided}, "
-            f"clearance {result.min_obstacle_clearance_m:.2f} m"
-        )
-        _scenario, saved = replay_drive(SEED, index, safety_net=True)
-        print(
-            f"  same drive with the net: collided={saved.collided}, "
-            f"final mode {saved.final_mode}"
-        )
+        print(f"\nreplay of failing drive {index} by cell id:")
+        for arm in ("raw", "net"):
+            cell_id = f"chaos:drill-lane:{SEED}:{index}:{arm}"
+            record = run_cell(parse_cell_id(cell_id)).record
+            print(
+                f"  {cell_id} ({' + '.join(record.fault_kinds)}): "
+                f"collided={record.collided}, "
+                f"clearance {record.min_clearance_m:.2f} m, "
+                f"final mode {record.final_mode}"
+            )
 
     if protected.attribution is not None and protected.deadline_misses:
         print("\ndeadline-miss attribution (Eq. 1 budget, protected arm):")

@@ -48,7 +48,6 @@ def main() -> None:
         safety_net=False,
         duration_s=6.0,
         obstacle_distance_m=18.0,
-        origin=f"chaos:drill-lane:{seed}:0:raw",
     )
     outcome = run_cell(CellSpec(kind="triage", index=0, cell=cell)).record
     print(

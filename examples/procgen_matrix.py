@@ -12,7 +12,7 @@ Every violation the harness prints carries a replay one-liner; paste it
 back here to re-run that single generated cell serially, optionally
 exporting a Perfetto trace of the failing drive::
 
-    python examples/procgen_matrix.py --cell-id procgen:0:17:i1 \
+    python examples/procgen_matrix.py --cell-id procgen:0:17:i1.0 \
         [--trace out.json]
 
 Usage::

@@ -142,7 +142,7 @@ def triage_campaign() -> ExperimentResult:
     series = {
         "reductions": [
             (
-                shrink.original.origin,
+                shrink.original.cell_id,
                 round(shrink.reduction_ratio, 3),
                 f"faults {shrink.original_faults}->"
                 f"{shrink.minimized_faults}",

@@ -20,19 +20,20 @@ module gives those cells one shared executor:
   :class:`~repro.runtime.sov.DriveResult` s.
 * :func:`run_cells` is the only place a campaign cell is driven.  It
   takes specs in lockstep groups of :data:`LOCKSTEP_GROUP` cells and
-  advances every drive of a group through one
+  :func:`drive_group` advances every drive of a group through one
   :func:`~repro.runtime.batched.drive_batch` call.  :func:`run_cell` is
   a group of one; pool workers, the supervisor's serial fallback, the
-  shrinker, the corpus sweep and ``--cell-id`` replay all call it.
+  shrinker, the corpus sweep and ``--cell-id`` replay all call it.  The
+  differential harness (:mod:`repro.testing.differential`) checks that
+  same group step against the scalar drive.
 
 A cell is a *pure function of its spec*: all randomness derives from
 seeds the spec carries, drives share no state, and ``drive_batch``
-reproduces the scalar ``SystemsOnAVehicle.drive`` bit for bit per drive
-(:mod:`repro.testing.differential`).  So a cell gives the identical
-result in a group of sixteen in-process, alone in a worker four retries
-deep, or speculatively on two workers at once — the whole determinism
-contract of the fleet engine: first result wins and nothing is lost by
-discarding duplicates.
+reproduces the scalar ``SystemsOnAVehicle.drive`` bit for bit per drive.
+So a cell gives the identical result in a group of sixteen in-process,
+alone in a worker four retries deep, or speculatively on two workers at
+once — the whole determinism contract of the fleet engine: first result
+wins and nothing is lost by discarding duplicates.
 """
 
 from __future__ import annotations
@@ -96,26 +97,33 @@ class ChaosCell:
 
 @dataclass(frozen=True)
 class InvariantCell:
-    """One corridor invariant-harness cell: ``(scenario name, seed)``."""
+    """One corridor invariant-harness cell: ``(scenario name, seed)``.
+
+    ``fault_seed`` layers the chaos campaign's fault draw for that seed
+    on top of the scene's own schedule; the draw is seeded apart from
+    the scene, so one scene can be driven under many draws.
+    """
 
     name: str
     seed: int
     deadline_budget_s: Optional[float] = None
     check_determinism: bool = True
+    fault_seed: Optional[int] = None
 
     @property
     def cell_id(self) -> str:
-        # The default (paper-budget, determinism-checked) id predates
-        # both fields; only a departure spells them, so historical
-        # journal ids stay valid.  repr, not :g, so the budget parses
-        # back to the same float.
+        # The default (no fault draw, paper-budget, determinism-checked)
+        # id predates these fields; only a departure spells them, so
+        # historical journal ids stay valid.  repr, not :g, so the
+        # budget parses back to the same float.
+        faults = "" if self.fault_seed is None else f":f{self.fault_seed}"
         budget = (
             ""
             if self.deadline_budget_s is None
             else f":b{float(self.deadline_budget_s)!r}"
         )
         suffix = "" if self.check_determinism else ":nodet"
-        return f"invariant:{self.name}:{self.seed}{budget}{suffix}"
+        return f"invariant:{self.name}:{self.seed}{faults}{budget}{suffix}"
 
 
 @dataclass(frozen=True)
@@ -135,11 +143,18 @@ class ProcGenCell:
 
     @property
     def cell_id(self) -> str:
+        space = self.space
         suffix = "" if self.check_determinism else ":nodet"
-        return (
+        cell_id = (
             f"procgen:{self.generator_seed}:{self.cell_index}"
-            f":i{self.space.intensity:g}{suffix}"
+            f":i{float(space.intensity)!r}{suffix}"
         )
+        # As for chaos ids: a space that is not the default one at this
+        # intensity gets a CRC of itself, which parse_cell_id refuses.
+        if space != type(space)(intensity=space.intensity):
+            crc = zlib.crc32(repr(space).encode("utf-8"))
+            cell_id += f":x{crc:08x}"
+        return cell_id
 
 
 @dataclass(frozen=True)
@@ -190,8 +205,6 @@ class TriageCell:
     space: Optional["object"] = None
     cell_index: int = 0
     replica: int = 0
-    #: Provenance: the campaign cell id this violation was harvested from.
-    origin: str = ""
 
     @property
     def cell_id(self) -> str:
@@ -336,14 +349,18 @@ def _finish_chaos(cell: ChaosCell, scenario, _drives, results):
     return record, drive_fingerprint(result), summary
 
 
-def _protected_drives(scenarios, deadline_budget_s=None) -> _Drives:
+def _protected_drives(
+    scenarios, deadline_budget_s=None, extra_faults=()
+) -> _Drives:
     """One protected, attributed drive per scenario (the invariant
     harness's configuration)."""
     from ..scene.corridors import make_corridor_sov
 
     drives: _Drives = []
     for scenario in scenarios:
-        sov = make_corridor_sov(scenario, safety_net=True)
+        sov = make_corridor_sov(
+            scenario, safety_net=True, extra_faults=extra_faults
+        )
         sov.enable_attribution(deadline_budget_s)
         drives.append((sov, scenario.duration_s))
     return drives
@@ -362,11 +379,20 @@ def _outcome_summary(outcome) -> Dict[str, float]:
 def _build_invariant(cell: InvariantCell):
     from ..scene.providers import resolve_scene
 
+    extra_faults = ()
+    if cell.fault_seed is not None:
+        from ..robustness.chaos import FaultSpace, scenario_for_drive
+
+        extra_faults = scenario_for_drive(
+            FaultSpace(), cell.fault_seed, cell.fault_seed
+        ).faults
     scenarios = [
         resolve_scene(cell.name, cell.seed)
         for _ in range(2 if cell.check_determinism else 1)
     ]
-    return scenarios[0], _protected_drives(scenarios, cell.deadline_budget_s)
+    return scenarios[0], _protected_drives(
+        scenarios, cell.deadline_budget_s, extra_faults
+    )
 
 
 def _finish_invariant(cell: InvariantCell, scenario, drives, results):
@@ -502,30 +528,27 @@ CELL_KINDS: Dict[str, CellKind] = {
 # -- execution -----------------------------------------------------------------
 
 
-def run_cells(specs: Iterable[CellSpec]) -> List[CellResult]:
-    """Execute cells; results come back in spec order.
-
-    Consumes *specs* lazily, :data:`LOCKSTEP_GROUP` cells at a time, and
-    drives each group's drives in lockstep through one
-    :func:`~repro.runtime.batched.drive_batch` call.  Grouping is an
-    execution strategy, not a semantic knob: every cell's result is
-    bit-identical however it is grouped.  A cell's ``wall_s`` is its
-    group's wall time (build, drive and finish) over the group's cell
-    count.
-    """
+def lockstep_groups(specs: Iterable[CellSpec]) -> Iterator[List[CellSpec]]:
+    """Pull *specs* lazily, :data:`LOCKSTEP_GROUP` cells at a time."""
     specs = iter(specs)
-    results: List[CellResult] = []
     while True:
         group = list(itertools.islice(specs, LOCKSTEP_GROUP))
         if not group:
-            return results
-        results.extend(_run_group(group))
+            return
+        yield group
 
 
-def _run_group(group: Sequence[CellSpec]) -> List[CellResult]:
+def drive_group(
+    group: Sequence[CellSpec],
+) -> List[Tuple[object, _Drives, List]]:
+    """Build every cell of *group* and drive all their drives in lockstep.
+
+    One :func:`~repro.runtime.batched.drive_batch` call advances every
+    drive of the group; returns ``(context, drives, results)`` per cell,
+    in group order.
+    """
     from ..runtime.batched import drive_batch
 
-    started = time.perf_counter()
     built = [CELL_KINDS[spec.kind].build(spec.cell) for spec in group]
     drives = [d for _context, cell_drives in built for d in cell_drives]
     driven = iter(
@@ -534,14 +557,37 @@ def _run_group(group: Sequence[CellSpec]) -> List[CellResult]:
             [duration for _sov, duration in drives],
         )
     )
-    finished = [
-        CELL_KINDS[spec.kind].finish(
-            spec.cell,
+    return [
+        (
             context,
             cell_drives,
             list(itertools.islice(driven, len(cell_drives))),
         )
-        for spec, (context, cell_drives) in zip(group, built)
+        for context, cell_drives in built
+    ]
+
+
+def run_cells(specs: Iterable[CellSpec]) -> List[CellResult]:
+    """Execute cells; results come back in spec order.
+
+    Consumes *specs* lazily in :func:`lockstep_groups` and drives each
+    group through :func:`drive_group`.  Grouping is an execution
+    strategy, not a semantic knob: every cell's result is bit-identical
+    however it is grouped.  A cell's ``wall_s`` is its group's wall time
+    (build, drive and finish) over the group's cell count.
+    """
+    results: List[CellResult] = []
+    for group in lockstep_groups(specs):
+        results.extend(_run_group(group))
+    return results
+
+
+def _run_group(group: Sequence[CellSpec]) -> List[CellResult]:
+    started = time.perf_counter()
+    driven = drive_group(group)
+    finished = [
+        CELL_KINDS[spec.kind].finish(spec.cell, context, drives, results)
+        for spec, (context, drives, results) in zip(group, driven)
     ]
     wall_s = (time.perf_counter() - started) / len(group)
     return [
@@ -552,11 +598,11 @@ def _run_group(group: Sequence[CellSpec]) -> List[CellResult]:
             fingerprint=fingerprint,
             summary=summary,
             record=record,
-            sim_duration_s=cell_drives[0][1],
+            sim_duration_s=drives[0][1],
             wall_s=wall_s,
         )
-        for spec, (_ctx, cell_drives), (record, fingerprint, summary) in zip(
-            group, built, finished
+        for spec, (_ctx, drives, _res), (record, fingerprint, summary) in zip(
+            group, driven, finished
         )
     ]
 
@@ -670,25 +716,26 @@ def parse_cell_id(cell_id: str) -> CellSpec:
     """Rebuild a runnable :class:`CellSpec` from a printed cell id.
 
     This is the inverse of the ``cell_id`` properties for the campaign
-    kinds whose ids are self-describing — ``invariant:``, ``procgen:``,
-    ``chaos:`` (default drive config), and ``drill:`` — so a violation's
-    repro line can be replayed with nothing but the id (see
-    :func:`repro.triage.replay.replay_cell`).  Triage ids and chaos ids
-    of a non-default config (``:x<crc>``) embed a CRC of their payload
-    and cannot be reconstructed from the id alone; replay triage cells
-    from the regression corpus instead.
+    kinds whose ids are self-describing — ``invariant:``, ``procgen:``
+    (default space at its intensity), ``chaos:`` (default drive config),
+    and ``drill:`` — so a violation's repro line can be replayed with
+    nothing but the id (see :func:`repro.triage.replay.replay_cell`).
+    Triage ids, and ids of a non-default chaos config or procgen space
+    (``:x<crc>``), embed a CRC of their payload and cannot be
+    reconstructed from the id alone; replay triage cells from the
+    regression corpus instead.
     """
     parts = cell_id.split(":")
     kind = parts[0]
-    if kind == "chaos" and parts[-1].startswith("x"):
+    if parts[-1].startswith("x"):
         raise ValueError(
             f"cell id {cell_id!r} is not replayable from its id: its "
-            "chaos config is not the default (the id carries only a CRC "
-            "of it)"
+            f"{kind} config is not the default (the id carries only a "
+            "CRC of it)"
         )
     try:
         if kind == "invariant":
-            # invariant:{name}:{seed}[:b{budget}][:nodet]
+            # invariant:{name}:{seed}[:f{fault_seed}][:b{budget}][:nodet]
             fields = parts[1:]
             check = fields[-1] != "nodet"
             if not check:
@@ -696,6 +743,10 @@ def parse_cell_id(cell_id: str) -> CellSpec:
             budget = None
             if fields[-1].startswith("b"):
                 budget = float(fields[-1][1:])
+                fields = fields[:-1]
+            fault_seed = None
+            if fields[-1].startswith("f"):
+                fault_seed = int(fields[-1][1:])
                 fields = fields[:-1]
             name, seed = ":".join(fields[:-1]), int(fields[-1])
             return CellSpec(
@@ -706,6 +757,7 @@ def parse_cell_id(cell_id: str) -> CellSpec:
                     seed=seed,
                     deadline_budget_s=budget,
                     check_determinism=check,
+                    fault_seed=fault_seed,
                 ),
             )
         if kind == "procgen":
@@ -713,17 +765,18 @@ def parse_cell_id(cell_id: str) -> CellSpec:
             from ..scene.procgen import DEFAULT_SPACE
 
             check = parts[-1] != "nodet"
-            fields = parts[1:] if check else parts[1:-1]
-            generator_seed, cell_index = int(fields[0]), int(fields[1])
-            intensity = float(fields[2][1:])
-            space = DEFAULT_SPACE.with_intensity(intensity)
+            generator_seed, cell_index, intensity = (
+                parts[1:] if check else parts[1:-1]
+            )
+            if not intensity.startswith("i"):
+                raise ValueError(f"bad procgen intensity {intensity!r}")
             return CellSpec(
                 kind="procgen",
-                index=cell_index,
+                index=int(cell_index),
                 cell=ProcGenCell(
-                    space=space,
-                    generator_seed=generator_seed,
-                    cell_index=cell_index,
+                    space=DEFAULT_SPACE.with_intensity(float(intensity[1:])),
+                    generator_seed=int(generator_seed),
+                    cell_index=int(cell_index),
                     check_determinism=check,
                 ),
             )

@@ -16,9 +16,10 @@ guarantee safety.
 Everything is deterministic per ``(campaign seed, drive index)``: the
 scenario sampler, the drive's simulation seed, and the fault harness all
 derive from :class:`numpy.random.SeedSequence` spawns of that pair, so
-any sampled drive — in particular any *failing* drive — can be replayed
-bit-identically with :func:`replay_drive` and pinned as a standalone
-regression test.
+any sampled drive — in particular any *failing* drive — replays
+bit-identically from its cell id (``chaos:<corridor>:<seed>:<index>:<arm>``,
+see :func:`repro.triage.replay.replay_cell`) and can be pinned as a
+standalone regression test.
 
 The fault-space distribution encodes the paper's design point.  At
 nominal intensity (1.0) it only emits faults the Sec. III-C architecture
@@ -444,29 +445,6 @@ def run_chaos_drive(config: ChaosConfig, index: int):
     scenario, sov, duration_s = build_chaos_drive(config, index)
     result = sov.drive(duration_s)
     return chaos_drive_record(config, index, scenario, result), result
-
-
-def replay_drive(campaign_seed: int, index: int, safety_net: bool = True,
-                 space: Optional[FaultSpace] = None,
-                 **config_overrides):
-    """Reproduce one sampled drive bit-identically.
-
-    The per-seed replay hook: given the campaign seed and a drive index
-    (say, one the envelope report lists as failing), this re-derives the
-    same scenario and simulation seed and reruns the drive — the basis
-    for pinning any chaos finding as a standalone regression test.
-    Returns ``(scenario, DriveResult)``.
-    """
-    config = ChaosConfig(
-        n_drives=index + 1,
-        seed=campaign_seed,
-        space=space or FaultSpace(),
-        safety_net=safety_net,
-        **config_overrides,
-    )
-    scenario = scenario_for_drive(config.space, campaign_seed, index)
-    _record, result = run_chaos_drive(config, index)
-    return scenario, result
 
 
 # -- the envelope --------------------------------------------------------------

@@ -4,10 +4,13 @@ The batched multi-drive stepper (:mod:`repro.runtime.batched`) claims to
 be an *execution strategy*, not a semantic change: every drive it
 advances must be bit-identical to the same drive run through
 ``SystemsOnAVehicle.drive``.  This module is the machine that earns that
-claim.  It enumerates ``scenario x seed x fault`` cells over the
-corridor suite and the procedural generator, drives every cell through
-**both** engines (the batched side in genuinely shared lockstep batches,
-so cross-drive interleaving is exercised), and compares:
+claim.  It takes campaign cells as
+:class:`~repro.fleetops.cells.CellSpec` s, builds each cell twice
+through the kind table, drives every drive of one copy with the scalar
+``sov.drive`` and the other copy through
+:func:`~repro.fleetops.cells.drive_group` — the lockstep group step the
+cell executor runs, so cross-drive interleaving is exercised exactly as
+campaigns group it — and compares:
 
 * the full :func:`~repro.testing.invariants.drive_fingerprint` —
   trajectory endpoint, tick structure, fault history, latency totals —
@@ -18,7 +21,8 @@ so cross-drive interleaving is exercised), and compares:
 * the Eq. 1 deadline-accounting table: total misses, per-stage and
   per-mode charges, ticks observed.
 
-Every mismatch carries the cell id and a paste-able repro line, so a
+Every mismatch carries the cell id, the drive within the cell, and a
+paste-able ``run_differential_cell(<cell id>)`` repro line, so a
 divergence found in a 200-cell nightly sweep is a pinned single-cell
 reproduction by construction.
 """
@@ -26,10 +30,8 @@ reproduction by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-from ..scene.corridors import corridor_names, make_corridor_sov
-from ..scene.providers import resolve_scene
 from .invariants import drive_fingerprint
 
 #: Field names of the :func:`drive_fingerprint` tuple, index-aligned.
@@ -59,31 +61,21 @@ FINGERPRINT_FIELDS: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class Mismatch:
-    """One field diverging between engines on one cell."""
+    """One field diverging between engines on one drive of one cell."""
 
     cell_id: str
     field: str
     scalar: object
     batched: object
+    #: Which of the cell's drives diverged (1: its determinism re-drive).
+    drive: int = 0
 
     def repro(self) -> str:
         """The one-liner that replays this cell through both engines."""
         return (
-            f"run_differential_cell({self.cell_id!r})"
-            f"  # {self.field}: {self.scalar!r} != {self.batched!r}"
+            f"run_differential_cell({self.cell_id!r})  # drive "
+            f"{self.drive} {self.field}: {self.scalar!r} != {self.batched!r}"
         )
-
-
-@dataclass(frozen=True)
-class _Cell:
-    """One differential cell: an id plus a pure sov builder.
-
-    ``build()`` must construct a *fresh* configured vehicle every call
-    (both engines get their own), returning ``(sov, duration_s)``.
-    """
-
-    cell_id: str
-    build: Callable[[], Tuple[object, float]]
 
 
 @dataclass
@@ -109,7 +101,9 @@ class DifferentialReport:
         return "\n".join(lines)
 
 
-def compare_drives(cell_id: str, scalar, batched) -> List[Mismatch]:
+def compare_drives(
+    cell_id: str, scalar, batched, drive: int = 0
+) -> List[Mismatch]:
     """Field-level comparison of two :class:`DriveResult` s.
 
     Returns one :class:`Mismatch` per diverging field — fingerprint
@@ -120,7 +114,7 @@ def compare_drives(cell_id: str, scalar, batched) -> List[Mismatch]:
 
     def check(name: str, a, b) -> None:
         if a != b:
-            mismatches.append(Mismatch(cell_id, name, a, b))
+            mismatches.append(Mismatch(cell_id, name, a, b, drive))
 
     for name, a, b in zip(
         FINGERPRINT_FIELDS,
@@ -149,143 +143,47 @@ def compare_drives(cell_id: str, scalar, batched) -> List[Mismatch]:
 
 
 def n_comparisons_per_cell() -> int:
-    """Fields checked per cell (assuming attribution present both sides)."""
+    """Fields checked per compared drive (assuming attribution present
+    both sides)."""
     return len(FINGERPRINT_FIELDS) + 9
 
 
-# -- cell enumeration ----------------------------------------------------------
+def run_differential(specs: Iterable) -> DifferentialReport:
+    """Drive every cell of *specs* through both engines, bit for bit.
 
-
-def _corridor_cell(
-    name: str, seed: int, fault_seed: Optional[int]
-) -> _Cell:
-    def build() -> Tuple[object, float]:
-        scenario = resolve_scene(name, seed)
-        extra = _fault_draw(fault_seed)
-        sov = make_corridor_sov(scenario, safety_net=True, extra_faults=extra)
-        sov.enable_attribution()
-        return sov, scenario.duration_s
-
-    suffix = "" if fault_seed is None else f":f{fault_seed}"
-    return _Cell(cell_id=f"diff:{name}:{seed}{suffix}", build=build)
-
-
-def _fault_draw(fault_seed: Optional[int]) -> Tuple:
-    """A deterministic chaos fault schedule for *fault_seed* (None: none).
-
-    Uses the chaos campaign's own sampling path, so differential fault
-    cells draw from exactly the fault surface the fleet runs.
+    The batched copies run in the lockstep groups :func:`run_cells
+    <repro.fleetops.cells.run_cells>` forms (drives of different scenes,
+    durations and fault schedules interleave in one stepper); the scalar
+    copies run one drive at a time.  Every drive of a two-drive cell is
+    compared.
     """
-    if fault_seed is None:
-        return ()
-    from ..robustness.chaos import FaultSpace, scenario_for_drive
+    from ..fleetops.cells import CELL_KINDS, drive_group, lockstep_groups
 
-    return tuple(
-        scenario_for_drive(FaultSpace(), fault_seed, fault_seed).faults
-    )
-
-
-def _procgen_cell(generator_seed: int, index: int) -> _Cell:
-    def build() -> Tuple[object, float]:
-        from ..scene.procgen import DEFAULT_SPACE
-
-        scenario = DEFAULT_SPACE.sample(generator_seed, index)
-        sov = make_corridor_sov(scenario, safety_net=True)
-        sov.enable_attribution()
-        return sov, scenario.duration_s
-
-    return _Cell(cell_id=f"diff:procgen:{generator_seed}:{index}", build=build)
-
-
-def differential_cells(
-    names: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = (0, 1, 2),
-    fault_seeds: Sequence[Optional[int]] = (None,),
-    n_procgen: int = 0,
-    generator_seed: int = 0,
-) -> List[_Cell]:
-    """Enumerate the ``scenario x seed x fault`` differential grid.
-
-    *fault_seeds* entries draw a chaos fault schedule on top of the
-    scene's own (None = the scene unmodified); *n_procgen* appends that
-    many procedurally generated cells.
-    """
-    cells: List[_Cell] = []
-    for name in names if names is not None else corridor_names():
-        for seed in seeds:
-            for fault_seed in fault_seeds:
-                cells.append(_corridor_cell(name, seed, fault_seed))
-    for index in range(n_procgen):
-        cells.append(_procgen_cell(generator_seed, index))
-    return cells
+    report = DifferentialReport()
+    for group in lockstep_groups(specs):
+        for spec, (_context, _drives, batched) in zip(
+            group, drive_group(group)
+        ):
+            report.n_cells += 1
+            _, drives = CELL_KINDS[spec.kind].build(spec.cell)
+            for drive, ((sov, duration_s), result) in enumerate(
+                zip(drives, batched)
+            ):
+                report.mismatches.extend(
+                    compare_drives(
+                        spec.cell_id, sov.drive(duration_s), result, drive
+                    )
+                )
+                report.comparisons += n_comparisons_per_cell()
+    return report
 
 
 def run_differential_cell(cell_id: str) -> List[Mismatch]:
     """Replay one cell by id through both engines — the repro entry point.
 
-    Accepts the ``diff:...`` ids this module mints:
-    ``diff:<corridor>:<seed>[:f<fault_seed>]`` or
-    ``diff:procgen:<generator_seed>:<index>``.
+    Takes any id :func:`~repro.fleetops.cells.parse_cell_id` accepts and
+    refuses the rest with its ``ValueError``.
     """
-    parts = cell_id.split(":")
-    if parts[0] != "diff":
-        raise ValueError(f"not a differential cell id: {cell_id!r}")
-    if parts[1] == "procgen":
-        cell = _procgen_cell(int(parts[2]), int(parts[3]))
-    else:
-        fault_seed = None
-        if len(parts) > 3 and parts[3].startswith("f"):
-            fault_seed = int(parts[3][1:])
-        cell = _corridor_cell(parts[1], int(parts[2]), fault_seed)
-    report = _run_cells([cell], batch_size=1)
-    return report.mismatches
+    from ..fleetops.cells import parse_cell_id
 
-
-def _run_cells(cells: Sequence[_Cell], batch_size: int) -> DifferentialReport:
-    from ..runtime.batched import drive_batch
-
-    report = DifferentialReport(n_cells=len(cells))
-    scalar_results = []
-    for cell in cells:
-        sov, duration_s = cell.build()
-        scalar_results.append(sov.drive(duration_s))
-    for lo in range(0, len(cells), batch_size):
-        chunk = cells[lo : lo + batch_size]
-        built = [cell.build() for cell in chunk]
-        batched_results = drive_batch(
-            [sov for sov, _d in built], [d for _sov, d in built]
-        )
-        for cell, scalar, batched in zip(
-            chunk, scalar_results[lo : lo + batch_size], batched_results
-        ):
-            found = compare_drives(cell.cell_id, scalar, batched)
-            report.comparisons += n_comparisons_per_cell()
-            report.mismatches.extend(found)
-    return report
-
-
-def run_differential_matrix(
-    names: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = (0, 1, 2),
-    fault_seeds: Sequence[Optional[int]] = (None,),
-    n_procgen: int = 0,
-    generator_seed: int = 0,
-    batch_size: int = 32,
-) -> DifferentialReport:
-    """Drive every cell through both engines and compare bit-for-bit.
-
-    The scalar side runs each cell serially; the batched side runs the
-    cells in shared lockstep batches of *batch_size* (so drives of
-    different scenes, durations, and fault schedules genuinely
-    interleave inside one stepper — the configuration the fleet uses).
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    cells = differential_cells(
-        names=names,
-        seeds=seeds,
-        fault_seeds=fault_seeds,
-        n_procgen=n_procgen,
-        generator_seed=generator_seed,
-    )
-    return _run_cells(cells, batch_size=batch_size)
+    return run_differential([parse_cell_id(cell_id)]).mismatches

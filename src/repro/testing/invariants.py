@@ -422,10 +422,9 @@ def _evaluate_cell(
     """
     result = results[0]
     result2 = results[1] if len(results) > 1 else None
-    faults = (
-        () if scenario.fault_scenario is None
-        else scenario.fault_scenario.faults
-    )
+    # The schedule the sov drove: the scene's own faults plus any drawn
+    # on top of them.
+    faults = () if sov.config.scenario is None else sov.config.scenario.faults
     checked: List[str] = []
     violations: List[InvariantViolation] = []
 

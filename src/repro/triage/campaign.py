@@ -152,9 +152,8 @@ class TriageCampaignResult:
             f"{self.corpus_written} corpus records"
         ]
         for shrink in self.shrinks:
-            cell = shrink.original
             lines.append(
-                f"  {cell.origin or cell.cell_id}: "
+                f"  {shrink.original.cell_id}: "
                 f"faults {shrink.original_faults}->{shrink.minimized_faults}, "
                 f"agents {shrink.original_agents}->{shrink.minimized_agents}, "
                 f"{shrink.original_duration_s:g}s->"
@@ -195,7 +194,6 @@ def harvest_candidates(config: TriageCampaignConfig) -> List["object"]:
                 duration_s=config.chaos_duration_s,
                 obstacle_distance_m=config.chaos_obstacle_m,
                 invariant="no_collision_or_safe_stop",
-                origin=f"chaos:drill-lane:{config.seed}:{i}:raw",
             )
         )
     pspace = DEFAULT_SPACE.with_intensity(config.procgen_intensity)
@@ -213,10 +211,6 @@ def harvest_candidates(config: TriageCampaignConfig) -> List["object"]:
                 space=pspace,
                 cell_index=idx,
                 invariant="no_collision_or_safe_stop",
-                origin=(
-                    f"procgen:{config.seed}:{idx}"
-                    f":i{pspace.intensity:g}"
-                ),
             )
         )
     return candidates
@@ -282,7 +276,7 @@ def run_triage_campaign(
             CorpusRecord(
                 fingerprint=fingerprint,
                 invariant=shrink.minimized.invariant,
-                origin=shrink.original.origin,
+                origin=shrink.original.cell_id,
                 label=labels.get(shrink.minimized.cell_id, "unclassified"),
                 cell=shrink.minimized,
                 outcome=shrink.minimized_outcome,

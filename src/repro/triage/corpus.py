@@ -43,7 +43,9 @@ class CorpusRecord:
 
     fingerprint: str
     invariant: str
-    #: The campaign cell id the violation was harvested from.
+    #: The id of the harvested cell the violation was shrunk from: a
+    #: ``triage:`` id, which ``parse_cell_id`` refuses rather than
+    #: replaying some other drive.
     origin: str
     #: Flake label at filing time (deterministic / flaky / unreproducible).
     label: str

@@ -141,6 +141,21 @@ class TestRunCell:
         assert result.kind == "invariant"
         assert result.summary["violations"] == 0.0
 
+    def test_invariant_fault_draw_is_judged_on_the_merged_schedule(self):
+        # Draw 27 sticks the radar at a false value on a clean scene:
+        # the reactive engagement check must see the drawn fault and
+        # stand aside.
+        cell = InvariantCell(
+            "slalom", 0, check_determinism=False, fault_seed=27
+        )
+        assert cell.cell_id == "invariant:slalom:0:f27:nodet"
+        record = run_cell(CellSpec("invariant", 0, cell)).record
+        assert "reactive_engagement" not in record.checked
+        clean = InvariantCell("slalom", 0, check_determinism=False)
+        assert "reactive_engagement" in run_cell(
+            CellSpec("invariant", 0, clean)
+        ).record.checked
+
 
 class TestPicklability:
     """Every campaign dataclass must cross a process boundary intact."""
@@ -210,7 +225,7 @@ class TestProcGenCells:
                 cell_index=0,
                 check_determinism=False,
             ).cell_id
-            == "procgen:0:0:i1:nodet"
+            == "procgen:0:0:i1.0:nodet"
         )
         specs = list(procgen_cells(n_cells=3, start_index=5))
         assert [s.index for s in specs] == [5, 6, 7]

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.fleetops.cells import chaos_cells, invariant_cells, run_cell
+from repro.fleetops.cells import (
+    chaos_cells,
+    invariant_cells,
+    procgen_cells,
+    run_cell,
+)
 from repro.fleetops.injection import WorkerFaultPlan, truncate_journal_tail
 from repro.fleetops.journal import load_journal
 from repro.fleetops.supervisor import (
@@ -179,11 +184,14 @@ class TestResume:
             )
 
     def test_journal_of_another_deadline_budget_refused(self, tmp_path):
-        # Same scenario and seed, another Eq. 1 budget: another drive,
-        # so resuming must not reuse the journaled result.
-        journal_path = str(tmp_path / "journal.jsonl")
+        # Same scenario and seed, another Eq. 1 budget — or a generated
+        # scene from a space that differs only in clutter: another
+        # drive, so resuming must not reuse the journaled result.
+        from dataclasses import replace
 
-        def grid(budget_s):
+        from repro.scene.procgen import DEFAULT_SPACE
+
+        def budget_grid(budget_s):
             return invariant_cells(
                 names=["occluded_crossing_stalled"],
                 seeds=(0,),
@@ -191,13 +199,29 @@ class TestResume:
                 deadline_budget_s=budget_s,
             )
 
-        FleetSupervisor(FleetConfig(n_workers=1)).run(
-            grid(None), journal_path=journal_path
-        )
-        with pytest.raises(ValueError, match="refusing"):
-            FleetSupervisor(FleetConfig(n_workers=1)).run(
-                grid(0.15), journal_path=journal_path
+        def procgen_grid(space):
+            return list(
+                procgen_cells(
+                    space, n_cells=1, start_index=3, check_determinism=False
+                )
             )
+
+        pairs = [
+            (budget_grid(None), budget_grid(0.15)),
+            (
+                procgen_grid(DEFAULT_SPACE),
+                procgen_grid(replace(DEFAULT_SPACE, clutter_rate=2.4)),
+            ),
+        ]
+        for i, (journaled, other) in enumerate(pairs):
+            journal_path = str(tmp_path / f"journal{i}.jsonl")
+            FleetSupervisor(FleetConfig(n_workers=1)).run(
+                journaled, journal_path=journal_path
+            )
+            with pytest.raises(ValueError, match="refusing"):
+                FleetSupervisor(FleetConfig(n_workers=1)).run(
+                    other, journal_path=journal_path
+                )
 
 
 class TestReportAccounting:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fleetops.cells import ChaosCell, parse_cell_id, run_cell
 from repro.robustness.chaos import (
     REACTIVE_KILLING,
     VISION_BLINDING,
@@ -10,7 +11,6 @@ from repro.robustness.chaos import (
     aggregate_envelope,
     drive_seed,
     intensity_frontier,
-    replay_drive,
     run_chaos_campaign,
     run_chaos_drive,
     scenario_for_drive,
@@ -138,26 +138,27 @@ class TestReplay:
         config = ChaosConfig(n_drives=4, seed=8)
         campaign = run_chaos_campaign(config)
         record = campaign.records[2]
-        scenario, result = replay_drive(8, 2)
-        assert scenario.name == record.scenario_name
-        assert result.collided == record.collided
-        assert result.final_mode == record.final_mode
-        assert (
-            result.min_obstacle_clearance_m
-            == pytest.approx(record.min_clearance_m)
-        )
-        assert dict(result.mode_residency) == pytest.approx(
-            record.mode_residency
-        )
+        cell_id = ChaosCell(config, 2).cell_id
+        assert cell_id == "chaos:drill-lane:8:2:net"
+        replayed = run_cell(parse_cell_id(cell_id)).record
+        assert replayed.scenario_name == record.scenario_name
+        assert replayed.fault_kinds == record.fault_kinds
+        assert replayed.collided == record.collided
+        assert replayed.final_mode == record.final_mode
+        assert replayed.min_clearance_m == record.min_clearance_m
+        assert replayed.mode_residency == record.mode_residency
 
     def test_replay_can_drop_the_safety_net(self):
-        scenario_on, _ = replay_drive(0, 0, safety_net=True)
-        scenario_off, result_off = replay_drive(0, 0, safety_net=False)
+        on, off = (
+            run_cell(parse_cell_id(f"chaos:drill-lane:0:0:{arm}")).record
+            for arm in ("net", "raw")
+        )
         # The sampled scenario is a function of (seed, index) only.
-        assert scenario_on == scenario_off
+        assert on.scenario_name == off.scenario_name
+        assert on.fault_kinds == off.fault_kinds
         # With the supervisor disabled the mode never leaves NOMINAL.
-        assert result_off.final_mode == "NOMINAL"
-        assert result_off.mode_residency["NOMINAL"] == pytest.approx(1.0)
+        assert off.final_mode == "NOMINAL"
+        assert off.mode_residency["NOMINAL"] == pytest.approx(1.0)
 
 
 class TestCorridorCampaigns:
@@ -209,11 +210,11 @@ class TestCorridorCampaigns:
         ],
     )
     def test_replay_is_bit_identical_on_every_corridor(self, corridor):
-        from repro.testing.invariants import drive_fingerprint
-
-        _scenario_a, result_a = replay_drive(7, 1, corridor=corridor)
-        _scenario_b, result_b = replay_drive(7, 1, corridor=corridor)
-        assert drive_fingerprint(result_a) == drive_fingerprint(result_b)
+        config = ChaosConfig(n_drives=2, seed=7, corridor=corridor)
+        cell_id = ChaosCell(config, 1).cell_id
+        assert cell_id == f"chaos:{corridor}:7:1:net"
+        spec = parse_cell_id(cell_id)
+        assert run_cell(spec).identity() == run_cell(spec).identity()
 
     def test_parametrized_corridors_cover_the_whole_registry(self):
         from repro.scene.corridors import corridor_names

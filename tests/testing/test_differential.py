@@ -2,23 +2,46 @@
 
 The fast slice here is tier-1 — including one mixed grid of every cell
 kind through the cell executor, one at a time, and the worker pool; the
-full matrix (every corridor x seed x fault cell plus a procgen block,
->= 200 cells) is ``slow``-marked and runs nightly.
+full matrix (every corridor x seed x fault-draw cell plus a procgen
+block, 200 drives) is ``slow``-marked and runs nightly.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.fleetops.cells import CellSpec, InvariantCell, ProcGenCell
 from repro.scene.corridors import corridor_names
+from repro.scene.procgen import DEFAULT_SPACE
 from repro.testing.differential import (
     FINGERPRINT_FIELDS,
     Mismatch,
-    differential_cells,
     n_comparisons_per_cell,
+    run_differential,
     run_differential_cell,
-    run_differential_matrix,
 )
+
+
+def _grid(names, seeds, fault_seeds, n_procgen):
+    """Single-drive corridor cells under each fault draw, then procgen
+    cells: the grid the differential matrix sweeps."""
+    cells = [
+        InvariantCell(name, seed, fault_seed=k, check_determinism=False)
+        for name in names
+        for seed in seeds
+        for k in fault_seeds
+    ] + [
+        ProcGenCell(DEFAULT_SPACE, 0, i, check_determinism=False)
+        for i in range(n_procgen)
+    ]
+    return [
+        CellSpec(
+            kind="procgen" if isinstance(cell, ProcGenCell) else "invariant",
+            index=i,
+            cell=cell,
+        )
+        for i, cell in enumerate(cells)
+    ]
 
 
 def test_fingerprint_fields_cover_fingerprint():
@@ -33,13 +56,15 @@ def test_fingerprint_fields_cover_fingerprint():
 
 
 def test_fast_slice_matches():
-    report = run_differential_matrix(
-        names=["slalom", "cluttered_stop"],
-        seeds=(0,),
-        fault_seeds=(None, 11),
-        n_procgen=1,
-        batch_size=3,
-    )
+    specs = _grid(["slalom", "cluttered_stop"], (0,), (None, 11), 1)
+    assert [s.cell_id for s in specs] == [
+        "invariant:slalom:0:nodet",
+        "invariant:slalom:0:f11:nodet",
+        "invariant:cluttered_stop:0:nodet",
+        "invariant:cluttered_stop:0:f11:nodet",
+        "procgen:0:0:i1.0:nodet",
+    ]
+    report = run_differential(specs)
     assert report.n_cells == 5
     assert report.comparisons == 5 * n_comparisons_per_cell()
     assert report.ok, report.format_report()
@@ -47,36 +72,22 @@ def test_fast_slice_matches():
 
 
 def test_single_cell_repro_roundtrip():
-    assert run_differential_cell("diff:slalom:0") == []
-    assert run_differential_cell("diff:procgen:0:1") == []
-    with pytest.raises(ValueError):
-        run_differential_cell("invariant:slalom:0")
+    assert run_differential_cell("invariant:slalom:0:f7:nodet") == []
+    assert run_differential_cell("procgen:0:1:i1.0:nodet") == []
+    with pytest.raises(ValueError, match="not replayable"):
+        run_differential_cell("chaos:drill-lane:0:0:net:x9fa44d6b")
 
 
 def test_mismatch_repro_line_names_cell_and_field():
     m = Mismatch(
-        cell_id="diff:slalom:3:f7", field="distance_m",
-        scalar=10.0, batched=10.5,
+        cell_id="invariant:slalom:3:f7", field="distance_m",
+        scalar=10.0, batched=10.5, drive=1,
     )
     line = m.repro()
-    assert "diff:slalom:3:f7" in line
+    assert line.startswith("run_differential_cell('invariant:slalom:3:f7')")
+    assert "drive 1" in line
     assert "distance_m" in line
     assert "10.5" in line
-
-
-def test_cell_enumeration_grid_shape():
-    cells = differential_cells(
-        names=["slalom"], seeds=(0, 1), fault_seeds=(None, 5), n_procgen=2
-    )
-    ids = [c.cell_id for c in cells]
-    assert ids == [
-        "diff:slalom:0",
-        "diff:slalom:0:f5",
-        "diff:slalom:1",
-        "diff:slalom:1:f5",
-        "diff:procgen:0:0",
-        "diff:procgen:0:1",
-    ]
 
 
 def _mixed_grid():
@@ -126,36 +137,19 @@ def _mixed_grid():
     ]
 
 
-def test_one_executor_mixed_grid(monkeypatch):
+def test_one_executor_mixed_grid():
     """Every kind through run_cells, one at a time, and the pool: one
     campaign CRC; every drive matches the scalar ``sov.drive``."""
-    from repro.fleetops.cells import CELL_KINDS, campaign_crc, run_cell, run_cells
+    from repro.fleetops.cells import campaign_crc, run_cell, run_cells
     from repro.fleetops.supervisor import FleetConfig, FleetSupervisor
-    from repro.runtime import batched
-    from repro.testing.invariants import drive_fingerprint
 
     specs = _mixed_grid()
-    driven = []
-    drive_batch = batched.drive_batch
+    report = run_differential(specs)
+    assert report.ok, report.format_report()
+    # Three cells re-drive, and their second drives are compared too.
+    assert report.comparisons == (len(specs) + 3) * n_comparisons_per_cell()
 
-    def spy(sovs, durations):
-        results = drive_batch(sovs, durations)
-        driven.extend(drive_fingerprint(r) for r in results)
-        return results
-
-    monkeypatch.setattr(batched, "drive_batch", spy)
     grouped = run_cells(specs)
-    monkeypatch.undo()
-
-    scalar = []
-    for spec in specs:
-        _context, drives = CELL_KINDS[spec.kind].build(spec.cell)
-        scalar.extend(
-            drive_fingerprint(sov.drive(duration)) for sov, duration in drives
-        )
-    assert len(driven) == len(specs) + 3  # three cells re-drive
-    assert driven == scalar
-
     alone = [run_cell(spec) for spec in specs]
     pool = FleetSupervisor(FleetConfig(n_workers=2)).run(specs)
     assert pool.ok
@@ -167,24 +161,15 @@ def test_one_executor_mixed_grid(monkeypatch):
     )
 
 
-def test_batch_size_validation():
-    with pytest.raises(ValueError):
-        run_differential_matrix(names=["slalom"], seeds=(0,), batch_size=0)
-
-
 @pytest.mark.slow
 def test_full_differential_matrix_nightly():
-    """The acceptance-bar sweep: >= 200 cells, zero mismatches.
+    """The acceptance-bar sweep: 200 drives, zero mismatches.
 
-    Corridors x seeds x faults (10 x 5 x 3 = 150) plus 50 procgen
-    cells, batched in shared lockstep groups of 32.
+    Corridors x seeds x fault draws (10 x 5 x 3 = 150) plus 50 procgen
+    cells, batched in the executor's lockstep groups.
     """
-    report = run_differential_matrix(
-        names=list(corridor_names()),
-        seeds=(0, 1, 2, 3, 4),
-        fault_seeds=(None, 7, 23),
-        n_procgen=50,
-        batch_size=32,
-    )
-    assert report.n_cells >= 200
+    specs = _grid(corridor_names(), range(5), (None, 7, 23), 50)
+    report = run_differential(specs)
+    assert report.n_cells == 200
+    assert report.comparisons == 200 * n_comparisons_per_cell()
     assert report.ok, report.format_report()

@@ -1,11 +1,11 @@
 """Hypothesis property tests: scalar and batched engines are one engine.
 
-Random corridor and procgen scenes, seeds, and chaos fault draws; the
-property is always the same — the batched stepper's drive is
-field-for-field bit-identical to the scalar drive (fingerprint,
-mode residency, collision flags, Eq. 1 deadline accounting).  On
-failure hypothesis shrinks the coordinates and the assertion message
-carries the paste-able ``run_differential_cell`` repro line.
+Random corridor and procgen cells, seeds, and chaos fault draws, written
+as cell specs; the property is always the same — the batched stepper's
+drive is field-for-field bit-identical to the scalar drive (fingerprint,
+mode residency, collision flags, Eq. 1 deadline accounting).  On failure
+hypothesis shrinks the coordinates and the assertion message carries
+the paste-able ``run_differential_cell`` repro line.
 """
 
 from __future__ import annotations
@@ -16,15 +16,10 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.runtime.batched import drive_batch
-from repro.scene.corridors import corridor_names, make_corridor_sov
-from repro.scene.providers import resolve_scene
-from repro.testing.differential import (
-    _corridor_cell,
-    _procgen_cell,
-    compare_drives,
-)
-from repro.testing.invariants import drive_fingerprint
+from repro.fleetops.cells import CellSpec, InvariantCell, ProcGenCell
+from repro.scene.corridors import corridor_names
+from repro.scene.procgen import DEFAULT_SPACE
+from repro.testing.differential import run_differential
 
 _SETTINGS = settings(
     max_examples=5,
@@ -34,13 +29,10 @@ _SETTINGS = settings(
 )
 
 
-def _assert_equivalent(cell) -> None:
-    sov_a, duration_a = cell.build()
-    scalar = sov_a.drive(duration_a)
-    sov_b, duration_b = cell.build()
-    [batched] = drive_batch([sov_b], [duration_b])
-    mismatches = compare_drives(cell.cell_id, scalar, batched)
-    assert not mismatches, "\n".join(m.repro() for m in mismatches)
+def _assert_equivalent(specs) -> None:
+    report = run_differential(specs)
+    assert report.n_cells == len(specs)
+    assert report.ok, report.format_report()
 
 
 @_SETTINGS
@@ -50,7 +42,10 @@ def _assert_equivalent(cell) -> None:
     fault_seed=st.none() | st.integers(min_value=0, max_value=10_000),
 )
 def test_corridor_cells_equivalent(name, seed, fault_seed):
-    _assert_equivalent(_corridor_cell(name, seed, fault_seed))
+    cell = InvariantCell(
+        name, seed, fault_seed=fault_seed, check_determinism=False
+    )
+    _assert_equivalent([CellSpec(kind="invariant", index=0, cell=cell)])
 
 
 @_SETTINGS
@@ -59,7 +54,10 @@ def test_corridor_cells_equivalent(name, seed, fault_seed):
     index=st.integers(min_value=0, max_value=63),
 )
 def test_procgen_cells_equivalent(generator_seed, index):
-    _assert_equivalent(_procgen_cell(generator_seed, index))
+    cell = ProcGenCell(
+        DEFAULT_SPACE, generator_seed, index, check_determinism=False
+    )
+    _assert_equivalent([CellSpec(kind="procgen", index=index, cell=cell)])
 
 
 @settings(max_examples=3, deadline=None, derandomize=True,
@@ -77,22 +75,13 @@ def test_procgen_cells_equivalent(generator_seed, index):
 )
 def test_heterogeneous_batches_equivalent(coords):
     """Drives of different scenes in ONE lockstep batch stay identical."""
-
-    def build(name, seed):
-        scenario = resolve_scene(name, seed)
-        sov = make_corridor_sov(scenario, safety_net=True)
-        sov.enable_attribution()
-        return sov, scenario.duration_s
-
-    serial = []
-    for name, seed in coords:
-        sov, duration = build(name, seed)
-        serial.append(drive_fingerprint(sov.drive(duration)))
-    built = [build(name, seed) for name, seed in coords]
-    batched = drive_batch(
-        [sov for sov, _d in built], [d for _sov, d in built]
+    _assert_equivalent(
+        [
+            CellSpec(
+                kind="invariant",
+                index=i,
+                cell=InvariantCell(name, seed, check_determinism=False),
+            )
+            for i, (name, seed) in enumerate(coords)
+        ]
     )
-    for (name, seed), ref, result in zip(coords, serial, batched):
-        assert drive_fingerprint(result) == ref, (
-            f"run_differential_cell('diff:{name}:{seed}')"
-        )

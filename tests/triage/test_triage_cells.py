@@ -1,9 +1,17 @@
-"""Triage cells: purity, identity, id parsing, and supervisor error capture."""
+"""Triage cells: purity, identity, id parsing, and supervisor error capture;
+and one property over every cell kind's id grammar."""
+
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.experiments.fault_campaign import DRILL_ORDER
 from repro.fleetops.cells import (
+    CELL_KINDS,
     CellSpec,
+    ChaosCell,
+    DrillCell,
     InvariantCell,
     ProcGenCell,
     TriageCell,
@@ -11,9 +19,11 @@ from repro.fleetops.cells import (
     run_cell,
 )
 from repro.fleetops.supervisor import FleetConfig, FleetSupervisor
+from repro.robustness.chaos import ChaosConfig, FaultSpace
 from repro.robustness.faults import FaultWindow, SensorDropoutFault
 from repro.scene.procgen import DEFAULT_SPACE
-from repro.triage.replay import replay_cell
+from repro.testing.invariants import drive_fingerprint
+from repro.triage.replay import export_cell_trace, replay_cell
 
 
 def triage_cell(**overrides) -> TriageCell:
@@ -58,13 +68,6 @@ def test_cell_id_distinguishes_every_payload_axis():
     assert len(ids) == 1 + len(variants)
 
 
-def test_cell_id_ignores_provenance():
-    assert (
-        triage_cell(origin="chaos:drill-lane:0:3:raw").cell_id
-        == triage_cell().cell_id
-    )
-
-
 def test_triage_outcome_violation_kind():
     outcome = run_cell(
         CellSpec(kind="triage", index=0, cell=triage_cell())
@@ -95,15 +98,17 @@ def test_parse_invariant_id_round_trips():
 
 
 def test_parse_procgen_id_round_trips():
-    original = ProcGenCell(
-        space=DEFAULT_SPACE.with_intensity(1.5),
-        generator_seed=0,
-        cell_index=4,
-    )
-    spec = parse_cell_id(original.cell_id)
-    assert spec.kind == "procgen"
-    assert spec.cell == original
-    assert spec.cell_id == original.cell_id
+    # Seven significant digits: a :g spelling would round them off.
+    for intensity in (1.5, 1.2345678):
+        original = ProcGenCell(
+            space=DEFAULT_SPACE.with_intensity(intensity),
+            generator_seed=0,
+            cell_index=4,
+        )
+        spec = parse_cell_id(original.cell_id)
+        assert spec.kind == "procgen"
+        assert spec.cell == original
+        assert spec.cell_id == original.cell_id
 
 
 def test_parse_chaos_id_with_colon_in_corridor():
@@ -131,6 +136,10 @@ def test_parse_rejects_triage_and_garbage_ids():
         parse_cell_id("chaos:drill-lane:0:1:sideways")
     with pytest.raises(ValueError):
         parse_cell_id("invariant:urban-slalom:notanint")
+    # Trailing or misspelled fields would otherwise replay another id.
+    for garbled in ("procgen:0:3:i1.0:junk", "procgen:0:3:q1.5"):
+        with pytest.raises(ValueError, match="unparseable"):
+            parse_cell_id(garbled)
 
 
 def test_parse_invariant_budget_round_trips():
@@ -209,6 +218,104 @@ def test_replay_cell_smoke(tmp_path, capsys):
     assert trace.stat().st_size > 0
 
 
+def test_replay_cell_traces_a_chaos_drive(tmp_path, capsys):
+    cell_id = "chaos:drill-lane:0:0:raw"
+    trace = tmp_path / "trace.json"
+    result = replay_cell(cell_id, trace_path=str(trace))
+    assert "trace exported" in capsys.readouterr().out
+    assert trace.stat().st_size > 0
+    traced = export_cell_trace(parse_cell_id(cell_id), str(trace))
+    assert traced.trace is not None
+    assert drive_fingerprint(traced) == result.fingerprint
+
+
 def test_replay_cell_rejects_triage_ids():
     with pytest.raises(ValueError):
         replay_cell(triage_cell().cell_id)
+
+
+# -- one property for the whole id grammar ------------------------------------
+
+
+def _chaos_cell(seed, index, safety_net, corridor, intensity, duration_s):
+    config = ChaosConfig(
+        n_drives=index + 1,
+        seed=seed,
+        safety_net=safety_net,
+        corridor=corridor,
+        space=FaultSpace(intensity=intensity),
+        duration_s=duration_s,
+    )
+    return ChaosCell(config, index)
+
+
+#: Per kind, payloads with non-default configs mixed in: every field an
+#: id must tell apart is drawn away from its default.
+_PAYLOADS = {
+    "chaos": st.builds(
+        _chaos_cell,
+        seed=st.integers(0, 50),
+        index=st.integers(0, 5),
+        safety_net=st.booleans(),
+        corridor=st.sampled_from([None, "slalom"]),
+        intensity=st.sampled_from([1.0, 1.5]),
+        duration_s=st.sampled_from([10.0, 3.0]),
+    ),
+    "invariant": st.builds(
+        InvariantCell,
+        name=st.sampled_from(["slalom", "cluttered_stop"]),
+        seed=st.integers(0, 50),
+        deadline_budget_s=st.sampled_from([None, 0.15, 0.1234567]),
+        check_determinism=st.booleans(),
+        fault_seed=st.none() | st.integers(0, 50),
+    ),
+    "procgen": st.builds(
+        ProcGenCell,
+        space=st.builds(
+            lambda intensity, other: replace(
+                DEFAULT_SPACE.with_intensity(intensity), **other
+            ),
+            st.sampled_from([1.0, 1.5, 1.2345678]),
+            st.sampled_from(
+                [{"clutter_rate": 2.4}, {"dead_end_prob": 0.3}, {}]
+            ),
+        ),
+        generator_seed=st.integers(0, 50),
+        cell_index=st.integers(0, 20),
+        check_determinism=st.booleans(),
+    ),
+    "drill": st.builds(
+        DrillCell,
+        scenario=st.sampled_from(DRILL_ORDER),
+        safety_net=st.booleans(),
+        seed=st.integers(0, 50),
+    ),
+    "triage": st.builds(
+        triage_cell,
+        sim_seed=st.integers(0, 50),
+        duration_s=st.sampled_from([1.0, 2.5]),
+        safety_net=st.booleans(),
+    ),
+}
+
+
+def test_id_property_covers_every_kind():
+    assert set(_PAYLOADS) == set(CELL_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(_PAYLOADS))
+@settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    derandomize=True,
+)
+@given(data=st.data())
+def test_every_id_replays_its_own_drive_or_is_refused(kind, data):
+    cell = data.draw(_PAYLOADS[kind])
+    try:
+        parsed = parse_cell_id(cell.cell_id)
+    except ValueError:
+        return
+    original = CellSpec(kind=kind, index=parsed.index, cell=cell)
+    assert run_cell(parsed).identity() == run_cell(original).identity()
