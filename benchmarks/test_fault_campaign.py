@@ -28,14 +28,14 @@ def test_fault_campaign_experiment(benchmark, record_table):
 
 
 def test_safety_net_prevents_every_collision():
-    for run in run_campaign(safety_net=True):
-        assert not run.collided, run.scenario.name
+    for drill in run_campaign(safety_net=True):
+        assert not drill.collided, drill.scenario
 
 
 def test_unprotected_baseline_collides_where_expected():
     outcomes = {
-        run.scenario.name: run.collided
-        for run in run_campaign(safety_net=False)
+        drill.scenario: drill.collided
+        for drill in run_campaign(safety_net=False)
     }
     for name in EXPECTED_UNSAFE:
         assert outcomes[name], f"{name} should collide without the net"
@@ -72,5 +72,5 @@ def test_campaign_is_deterministic_per_seed():
 def test_different_seeds_still_satisfy_safety_invariant():
     # The zero-collision guarantee is not a single-seed accident.
     for seed in (1, 2, 3):
-        for run in run_campaign(safety_net=True, seed=seed):
-            assert not run.collided, (run.scenario.name, seed)
+        for drill in run_campaign(safety_net=True, seed=seed):
+            assert not drill.collided, (drill.scenario, seed)

@@ -12,8 +12,6 @@ import os
 import pytest
 
 from repro.experiments import run_experiment
-from repro.fleetops.campaign import FleetCampaignConfig, run_fleet_campaign
-from repro.fleetops.cells import run_cell
 from repro.fleetops.injection import WorkerFaultPlan, truncate_journal_tail
 from repro.fleetops.journal import load_journal
 from repro.fleetops.supervisor import FleetConfig, FleetSupervisor
@@ -56,22 +54,22 @@ def serial_campaign():
 
 
 @pytest.fixture(scope="module")
-def serial_identities():
-    return [run_cell(spec).identity() for spec in iter_cells(CHAOS)]
+def serial_identities(serial_campaign):
+    return [r.identity() for r in serial_campaign.report.results]
 
 
 def test_200_cell_fleet_bit_identical_to_serial(
     serial_campaign, serial_identities
 ):
-    result = run_fleet_campaign(FleetCampaignConfig(chaos=CHAOS, fleet=FLEET))
+    result = run_chaos_campaign(CHAOS, fleet=FLEET)
     report = result.report
     assert report.n_cells == ACCEPTANCE_CELLS
     assert report.ok, report.summary()
     assert report.lost_cells == 0
     assert report.duplicate_cells == 0
     assert [r.identity() for r in report.results] == serial_identities
-    assert result.campaign.envelope == serial_campaign.envelope
-    assert result.campaign.records == serial_campaign.records
+    assert result.envelope == serial_campaign.envelope
+    assert result.records == serial_campaign.records
 
 
 def test_200_cell_interrupted_campaign_resumes_exactly_once(

@@ -8,9 +8,9 @@ harness over the whole ``scenario x seed`` matrix.  Finishes with a
 chaos campaign routed down one corridor, demonstrating that the chaos
 sampler's fault draws compose with a corridor's own fault schedule.
 
-The matrix runs on the fault-tolerant fleet substrate by default
-(identical results cell for cell — run_cell is pure per spec); pass
-``--serial`` to run it in process (``fleet=None``).
+The matrix runs on a four-worker fault-tolerant pool by default
+(identical results cell for cell — cells are pure per spec); pass
+``--serial`` to run it in process, in lockstep groups, on one worker.
 
 Every violation the report prints carries a replay one-liner; paste it
 back here to re-run that single cell, with an optional Perfetto trace
@@ -51,8 +51,8 @@ def main() -> None:
         replay_main(argv)
     serial = "--serial" in argv
     seeds = [int(s) for s in argv if s != "--serial"] or [0, 1, 2]
-    fleet = None if serial else FleetConfig()
-    where = "in process" if fleet is None else f"{fleet.n_workers} workers"
+    fleet = FleetConfig(n_workers=1 if serial else 4)
+    where = "in process" if serial else f"{fleet.n_workers} workers"
     print(f"Corridor scenario suite — seeds {seeds} ({where})")
     print("=" * 78)
 

@@ -18,14 +18,12 @@ import sys
 import tempfile
 
 from repro.fleetops import (
-    FleetCampaignConfig,
     FleetConfig,
     FleetSupervisor,
     WorkerFaultPlan,
-    run_fleet_campaign,
+    rollup_fleet,
     truncate_journal_tail,
 )
-from repro.fleetops.cells import run_cell
 from repro.robustness.chaos import ChaosConfig, iter_cells, run_chaos_campaign
 
 SEED = 0
@@ -55,6 +53,7 @@ def main() -> None:
     print("=" * 78)
 
     serial = run_chaos_campaign(chaos)
+    serial_ids = [r.identity() for r in serial.report.results]
     print(
         f"\nserial reference: collisions "
         f"{serial.envelope.collisions}/{serial.envelope.n_drives}, "
@@ -70,10 +69,8 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         journal_path = os.path.join(tmp, "journal.jsonl")
-        result = run_fleet_campaign(
-            FleetCampaignConfig(chaos=chaos, fleet=fleet),
-            journal_path=journal_path,
-            fault_plan=plan,
+        result = run_chaos_campaign(
+            chaos, fleet=fleet, journal_path=journal_path, fault_plan=plan
         )
         report = result.report
         print(
@@ -93,7 +90,7 @@ def main() -> None:
             f"speculative {report.speculative_launches}, "
             f"twins discarded {report.duplicates_discarded}"
         )
-        identical = result.campaign.envelope == serial.envelope
+        identical = result.envelope == serial.envelope
         print(f"  envelope bit-identical to serial: {identical}")
         if not identical or not report.ok:
             raise SystemExit("fleet campaign diverged from serial")
@@ -101,7 +98,6 @@ def main() -> None:
         # Tear the last journal record (a crash mid-append), then resume.
         truncate_journal_tail(journal_path, drop_bytes=40)
         resumed = FleetSupervisor(fleet).run(specs, journal_path=journal_path)
-        serial_ids = [run_cell(spec).identity() for spec in specs]
         resumed_ok = [
             r.identity() for r in resumed.results
         ] == serial_ids and resumed.ok
@@ -115,7 +111,7 @@ def main() -> None:
         if not resumed_ok:
             raise SystemExit("journal resume diverged from serial")
 
-    rollup = result.rollup
+    rollup = rollup_fleet(result.envelope)
     print(
         f"\nSec. VII rollup: best tier {rollup.best_tier!r}, "
         f"risk-adjusted profit ${rollup.risk_adjusted_profit_per_day_usd:.0f}"

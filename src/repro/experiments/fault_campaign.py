@@ -10,6 +10,14 @@ with the safety net (reactive path + degradation supervisor) and once
 without, and the campaign reports collisions, reactive interventions,
 module availability, restart counts, and MTTR.
 
+Each drill is a ``drill:`` campaign cell
+(:func:`~repro.fleetops.cells.drill_cells`); :func:`run_campaign` runs
+one arm's cells in process through
+:meth:`~repro.fleetops.supervisor.FleetSupervisor.run` and returns
+their :class:`~repro.fleetops.cells.DrillRecord` s.  :func:`run_drill`
+is the scalar ``sov.drive`` of one drill, kept for callers that want
+the whole :class:`~repro.runtime.sov.DriveResult`.
+
 The expected shape, mirrored by ``benchmarks/test_fault_campaign.py``:
 with the net, **zero collisions across every scenario**; without it, the
 camera-blackout, CAN-burst, and perception-outage drills all end in a
@@ -18,9 +26,10 @@ collision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
+from ..fleetops.cells import DrillRecord, drill_cells
+from ..fleetops.supervisor import FleetSupervisor
 from ..robustness.faults import (
     CanBusFault,
     FaultScenario,
@@ -30,10 +39,11 @@ from ..robustness.faults import (
     PerceptionStallFault,
     SensorDropoutFault,
 )
-from ..runtime.sov import DriveResult, SovConfig, SystemsOnAVehicle
-from ..scene.lanes import straight_corridor
-from ..scene.world import Obstacle, World
-from ..vehicle.dynamics import VehicleState
+from ..runtime.sov import (
+    DriveResult,
+    SystemsOnAVehicle,
+    obstacle_ahead_scenario,
+)
 from .base import ExperimentResult, Row, register
 
 #: Obstacle center distance for every drill (surface is 0.4 m closer).
@@ -161,33 +171,6 @@ EXPECTED_UNSAFE = ("camera_blackout", "can_loss_burst", "perception_outage")
 # -- the runner ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CampaignRun:
-    """One drill: a scenario driven with or without the safety net."""
-
-    scenario: FaultScenario
-    safety_net: bool
-    result: DriveResult
-
-    @property
-    def collided(self) -> bool:
-        return self.result.collided
-
-    @property
-    def reactive_interventions(self) -> int:
-        return self.result.ops.reactive_overrides
-
-    @property
-    def availability(self) -> float:
-        health = self.result.health
-        return 1.0 if health is None else health.worst_availability
-
-    @property
-    def restarts(self) -> int:
-        health = self.result.health
-        return 0 if health is None else health.total_restarts
-
-
 def drill_sov(
     scenario: FaultScenario,
     safety_net: bool = True,
@@ -200,17 +183,13 @@ def drill_sov(
     degradation supervisor — the unprotected baseline the paper's safety
     argument ablates against.
     """
-    world = World(obstacles=[Obstacle(obstacle_distance_m, 0.0, radius_m=0.4)])
-    return SystemsOnAVehicle(
-        world=world,
-        lane_map=straight_corridor(length_m=300.0, n_lanes=1),
-        initial_state=VehicleState(speed_mps=DRILL_SPEED_MPS),
-        config=SovConfig(
-            reactive_enabled=safety_net,
-            degradation_enabled=safety_net,
-            scenario=scenario,
-            seed=seed,
-        ),
+    return obstacle_ahead_scenario(
+        obstacle_distance_m,
+        reactive_enabled=safety_net,
+        degradation_enabled=safety_net,
+        initial_speed_mps=DRILL_SPEED_MPS,
+        seed=seed,
+        fault_scenario=scenario,
     )
 
 
@@ -226,19 +205,13 @@ def run_drill(
     return sov.drive(duration_s)
 
 
-def run_campaign(
-    scenarios: Optional[Sequence[FaultScenario]] = None,
-    safety_net: bool = True,
-    seed: int = 0,
-) -> List[CampaignRun]:
-    """Run every scenario through one arm of the ablation."""
-    runs = []
-    for scenario in scenarios or default_scenarios():
-        result = run_drill(scenario, safety_net=safety_net, seed=seed)
-        runs.append(
-            CampaignRun(scenario=scenario, safety_net=safety_net, result=result)
-        )
-    return runs
+def run_campaign(safety_net: bool = True, seed: int = 0) -> List[DrillRecord]:
+    """Run every default drill through one arm of the ablation."""
+    report = FleetSupervisor().run(
+        drill_cells(safety_net=safety_net, seed=seed)
+    )
+    report.raise_if_incomplete("fault campaign")
+    return [result.record for result in report.results]
 
 
 # -- the experiment ------------------------------------------------------------
@@ -254,17 +227,12 @@ def fault_campaign() -> ExperimentResult:
     """
     protected = run_campaign(safety_net=True)
     unprotected = run_campaign(safety_net=False)
-    collisions_with_net = sum(run.collided for run in protected)
-    collisions_without_net = sum(run.collided for run in unprotected)
-    interventions = sum(run.reactive_interventions for run in protected)
-    worst_availability = min(run.availability for run in protected)
-    restarts = sum(run.restarts for run in protected)
-    mttrs = [
-        run.result.health.mean_time_to_repair_s
-        for run in protected
-        if run.result.health is not None
-        and run.result.health.mean_time_to_repair_s is not None
-    ]
+    collisions_with_net = sum(drill.collided for drill in protected)
+    collisions_without_net = sum(drill.collided for drill in unprotected)
+    interventions = sum(drill.reactive_interventions for drill in protected)
+    worst_availability = min(drill.worst_availability for drill in protected)
+    restarts = sum(drill.restarts for drill in protected)
+    mttrs = [drill.mttr_s for drill in protected if drill.mttr_s is not None]
     rows = [
         Row(
             "collisions_with_safety_net",
@@ -312,14 +280,14 @@ def fault_campaign() -> ExperimentResult:
     series = {
         "per_scenario": [
             (
-                run.scenario.name,
-                int(run.collided),
+                drill.scenario,
+                int(drill.collided),
                 int(unprot.collided),
-                run.reactive_interventions,
-                round(run.availability, 4),
-                run.result.final_mode,
+                drill.reactive_interventions,
+                round(drill.worst_availability, 4),
+                drill.final_mode,
             )
-            for run, unprot in zip(protected, unprotected)
+            for drill, unprot in zip(protected, unprotected)
         ]
     }
     return ExperimentResult(

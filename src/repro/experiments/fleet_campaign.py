@@ -2,12 +2,12 @@
 
 The paper's Sec. VII fleet economics presuppose campaign evidence
 gathered at fleet scale; this experiment runs the same chaos campaign
-twice — once serially through
-:func:`~repro.robustness.chaos.run_chaos_campaign`, once across the
-supervised worker pool (:mod:`repro.fleetops`) *with faults injected
-into the campaign runner itself*: a worker killed mid-cell, a cell
-delayed past the straggler threshold, and the checkpoint journal torn
-mid-record between runs.
+twice through :func:`~repro.robustness.chaos.run_chaos_campaign` — once
+in process (the serial reference), once across the supervised worker
+pool (:mod:`repro.fleetops`) *with faults injected into the campaign
+runner itself*: a worker killed mid-cell, a cell delayed past the
+straggler threshold, and the checkpoint journal torn mid-record between
+runs.
 
 The expected shape, mirrored by ``benchmarks/test_fleet_campaign.py``:
 **bit-identical envelopes and zero lost or duplicated cells through
@@ -21,8 +21,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-from ..fleetops.campaign import FleetCampaignConfig, run_fleet_campaign
-from ..fleetops.cells import run_cell
+from ..fleetops.campaign import rollup_fleet
 from ..fleetops.injection import WorkerFaultPlan, truncate_journal_tail
 from ..fleetops.supervisor import FleetConfig, FleetSupervisor
 from ..robustness.chaos import ChaosConfig, iter_cells, run_chaos_campaign
@@ -54,7 +53,7 @@ def fleet_campaign() -> ExperimentResult:
         safety_net=True,
     )
     serial = run_chaos_campaign(chaos)
-    serial_ids = [run_cell(spec).identity() for spec in iter_cells(chaos)]
+    serial_ids = [r.identity() for r in serial.report.results]
 
     specs = list(iter_cells(chaos))
     plan = WorkerFaultPlan(
@@ -69,10 +68,8 @@ def fleet_campaign() -> ExperimentResult:
     )
     with tempfile.TemporaryDirectory() as tmp:
         journal_path = os.path.join(tmp, "journal.jsonl")
-        result = run_fleet_campaign(
-            FleetCampaignConfig(chaos=chaos, fleet=fleet_cfg),
-            journal_path=journal_path,
-            fault_plan=plan,
+        result = run_chaos_campaign(
+            chaos, fleet=fleet_cfg, journal_path=journal_path, fault_plan=plan
         )
         # Tear the journal's final record, then resume: only the torn
         # cell re-runs and the envelope still matches serial exactly.
@@ -81,6 +78,7 @@ def fleet_campaign() -> ExperimentResult:
             specs, journal_path=journal_path
         )
     report = result.report
+    rollup = rollup_fleet(result.envelope)
     fleet_ids = [r.identity() for r in report.results]
     resumed_ids = [r.identity() for r in resumed.results]
     matched = sum(a == b for a, b in zip(fleet_ids, serial_ids))
@@ -96,7 +94,7 @@ def fleet_campaign() -> ExperimentResult:
         Row(
             "envelope_identical",
             1.0,
-            float(result.campaign.envelope == serial.envelope),
+            float(result.envelope == serial.envelope),
             "bool",
             "aggregated safety envelope equal field-for-field",
         ),
@@ -145,9 +143,9 @@ def fleet_campaign() -> ExperimentResult:
         Row(
             "risk_adjusted_profit_per_day_usd",
             None,
-            result.rollup.risk_adjusted_profit_per_day_usd,
+            rollup.risk_adjusted_profit_per_day_usd,
             "USD/day",
-            f"Sec. VII TCO on tier {result.rollup.best_tier!r}, discounted "
+            f"Sec. VII TCO on tier {rollup.best_tier!r}, discounted "
             "by the measured collision rate",
         ),
     ]
@@ -157,7 +155,7 @@ def fleet_campaign() -> ExperimentResult:
         ),
         "tier_profits_usd": sorted(
             (name, round(profit, 2))
-            for name, profit in result.rollup.tier_profits_usd.items()
+            for name, profit in rollup.tier_profits_usd.items()
         ),
     }
     return ExperimentResult(

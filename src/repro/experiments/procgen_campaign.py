@@ -170,7 +170,9 @@ def procgen_campaign() -> ExperimentResult:
     series = {
         "topology_counts": sorted(result.topology_counts.items()),
         "campaign_checksum": [result.campaign_checksum],
-        "violations": [v.repro() for v in result.matrix.violations],
+        "violations": [
+            v.replay_command() for v in result.matrix.violations
+        ],
         "invariants": list(GENERATED_INVARIANT_NAMES),
         "mission_frontier_m": [
             (f"{p:g}W", round(

@@ -114,7 +114,7 @@ def scenario_matrix() -> ExperimentResult:
             )
             for cell in report.cells
         ],
-        "violations": [v.repro() for v in report.violations],
+        "violations": [v.replay_command() for v in report.violations],
         "invariants": list(INVARIANT_NAMES),
     }
     return ExperimentResult(

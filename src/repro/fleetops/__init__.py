@@ -6,10 +6,9 @@ survive the failures that come with it.  The pieces:
 
 ``cells``
     :class:`~repro.fleetops.cells.CellSpec` / :func:`~repro.fleetops.cells.run_cells`
-    — the pure, picklable unit of campaign work and the one executor
-    that drives it, in lockstep groups, for the in-process and fleet
-    paths alike, with deterministic per-cell seeding so results are
-    bit-identical no matter where a cell runs.
+    — the pure, picklable unit of campaign work and the executor that
+    drives it in lockstep groups, with deterministic per-cell seeding so
+    results are bit-identical no matter where a cell runs.
 
 ``journal``
     A crash-consistent append-only campaign journal
@@ -18,11 +17,14 @@ survive the failures that come with it.  The pieces:
     cell accounting.
 
 ``supervisor``
-    :class:`~repro.fleetops.supervisor.FleetSupervisor` — a supervised
-    multi-process worker pool with heartbeat liveness, per-cell
-    timeouts, bounded seeded-backoff retries, straggler detection with
-    speculative re-execution, and graceful degradation to serial
-    execution when the pool collapses.
+    :class:`~repro.fleetops.supervisor.FleetSupervisor` — the one
+    campaign runner.  With one worker (the default) it drives cells in
+    process, in lockstep groups, re-running a group that raises one
+    cell at a time; with more, on a supervised multi-process pool with
+    heartbeat liveness, per-cell timeouts, bounded seeded-backoff
+    retries, straggler detection with speculative re-execution, and
+    graceful degradation to in-process execution when the pool
+    collapses.
 
 ``injection``
     Self-test fault injection: kill workers mid-cell, delay them past
@@ -30,9 +32,9 @@ survive the failures that come with it.  The pieces:
     chaos-engineering discipline applied to the campaign runner itself.
 
 ``campaign``
-    Fleet campaigns end to end: cell grid -> supervised execution ->
-    :class:`~repro.robustness.chaos.EnvelopeReport` aggregation and
-    Sec. VII TCO rollups via :mod:`repro.core.fleet`.
+    Sec. VII TCO rollups of a chaos campaign's measured
+    :class:`~repro.robustness.chaos.EnvelopeReport` via
+    :mod:`repro.core.fleet`, and the generated-scene campaign.
 """
 
 from .cells import (
@@ -53,14 +55,7 @@ from .injection import (
 )
 from .journal import CampaignJournal, JournalState, load_journal
 from .supervisor import FleetConfig, FleetRunReport, FleetSupervisor
-from .campaign import (
-    FleetCampaignConfig,
-    FleetCampaignResult,
-    FleetRollup,
-    fleet_summary,
-    rollup_fleet,
-    run_fleet_campaign,
-)
+from .campaign import FleetRollup, fleet_summary, rollup_fleet
 
 __all__ = [
     "CellResult",
@@ -81,10 +76,7 @@ __all__ = [
     "FleetConfig",
     "FleetRunReport",
     "FleetSupervisor",
-    "FleetCampaignConfig",
-    "FleetCampaignResult",
     "FleetRollup",
     "fleet_summary",
     "rollup_fleet",
-    "run_fleet_campaign",
 ]

@@ -1,44 +1,36 @@
-"""Fleet-scale chaos campaigns: supervised execution + fleet rollup.
+"""Campaign rollups, and the generated-scene campaign.
 
-:func:`run_fleet_campaign` is the fleet twin of
-:func:`repro.robustness.chaos.run_chaos_campaign`: the same
-``ChaosConfig``, the same cells, the same
-:class:`~repro.robustness.chaos.EnvelopeReport` out the other end — but
-executed across the supervised worker pool with checkpoint/resume, and
-finished with a fleet-level rollup that feeds the campaign's measured
-safety envelope into the Sec. VII TCO model
-(:class:`repro.core.fleet.FleetTcoModel`).
+Every campaign runs its cells through one
+:meth:`~repro.fleetops.supervisor.FleetSupervisor.run` call, in process
+or on the worker pool as its :class:`~repro.fleetops.supervisor.FleetConfig`
+says; cells are pure, so the results are bit-identical either way.
+This module holds what the fleet adds on top of a campaign:
 
-Because :func:`~repro.fleetops.cells.run_cell` is pure per spec, the
-fleet envelope is bit-identical to the serial one — crashes, retries,
-stragglers and speculation included.  ``tests/fleetops`` and
-``benchmarks/test_fleet_campaign.py`` assert exactly that.
+* :func:`rollup_fleet` feeds a chaos campaign's measured
+  :class:`~repro.robustness.chaos.EnvelopeReport` into the Sec. VII TCO
+  model (:class:`repro.core.fleet.FleetTcoModel`), and
+  :func:`fleet_summary` flattens a
+  :func:`~repro.robustness.chaos.run_chaos_campaign` result with its
+  supervision counters and rollup;
+* :func:`run_procgen_campaign` sweeps procedurally generated scenes
+  through the invariant harness.
+
+``tests/fleetops`` and ``benchmarks/test_fleet_campaign.py`` assert
+that pool and in-process runs agree cell for cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import zlib
 
 from ..core.fleet import FleetTcoModel, paper_compute_tiers
-from ..robustness.chaos import (
-    ChaosCampaignResult,
-    ChaosConfig,
-    aggregate_envelope,
-)
-from .cells import CellResult, chaos_cells, procgen_cells
+from ..robustness.chaos import ChaosCampaignResult, EnvelopeReport
+from .cells import procgen_cells
 from .injection import WorkerFaultPlan
 from .supervisor import FleetConfig, FleetRunReport, FleetSupervisor
-
-
-@dataclass(frozen=True)
-class FleetCampaignConfig:
-    """One fleet campaign: what to drive, and how to supervise it."""
-
-    chaos: ChaosConfig = field(default_factory=ChaosConfig)
-    fleet: FleetConfig = field(default_factory=FleetConfig)
 
 
 @dataclass(frozen=True)
@@ -74,81 +66,20 @@ class FleetRollup:
         return flat
 
 
-@dataclass
-class FleetCampaignResult:
-    """A supervised campaign, its envelope, and the fleet economics."""
-
-    config: FleetCampaignConfig
-    report: FleetRunReport
-    campaign: ChaosCampaignResult
-    rollup: FleetRollup
-
-
-def rollup_fleet(
-    n_cells: int,
-    collision_rate: float,
-    safe_stop_rate: float,
-    model: Optional[FleetTcoModel] = None,
-) -> FleetRollup:
-    """Feed a measured envelope into the TCO model."""
-    model = model or FleetTcoModel()
-    ranked = model.compare_tiers(paper_compute_tiers())
+def rollup_fleet(envelope: EnvelopeReport) -> FleetRollup:
+    """Feed a chaos campaign's measured envelope into the TCO model."""
+    ranked = FleetTcoModel().compare_tiers(paper_compute_tiers())
     profits = {tier.name: profit for tier, profit in ranked}
     best_tier, best_profit = ranked[0]
-    survival = max(0.0, 1.0 - collision_rate)
+    survival = max(0.0, 1.0 - envelope.collision_rate)
     return FleetRollup(
-        n_cells=n_cells,
-        collision_rate=collision_rate,
-        safe_stop_rate=safe_stop_rate,
+        n_cells=envelope.n_drives,
+        collision_rate=envelope.collision_rate,
+        safe_stop_rate=envelope.safe_stop_rate,
         best_tier=best_tier.name,
         fleet_profit_per_day_usd=best_profit,
         risk_adjusted_profit_per_day_usd=best_profit * survival,
         tier_profits_usd=profits,
-    )
-
-
-def run_fleet_campaign(
-    config: Optional[FleetCampaignConfig] = None,
-    journal_path: Optional[str] = None,
-    fault_plan: Optional[WorkerFaultPlan] = None,
-    tco_model: Optional[FleetTcoModel] = None,
-) -> FleetCampaignResult:
-    """Run a chaos campaign across the supervised fleet pool.
-
-    With ``journal_path`` set, an interrupted campaign resumes from its
-    journal with exactly-once cell accounting.  The returned envelope is
-    aggregated from results sorted back into drive order, so it is
-    bit-identical to :func:`~repro.robustness.chaos.run_chaos_campaign`
-    on the same ``ChaosConfig``.
-    """
-    config = config or FleetCampaignConfig()
-    specs = list(chaos_cells(config.chaos))
-    supervisor = FleetSupervisor(config.fleet)
-    report = supervisor.run(
-        specs,
-        journal_path=journal_path,
-        fault_plan=fault_plan,
-        meta={"kind": "chaos", "n_drives": config.chaos.n_drives},
-    )
-    if not report.ok:
-        raise RuntimeError(
-            f"fleet campaign incomplete: lost={report.lost_cells} "
-            f"duplicates={report.duplicate_cells} "
-            f"failed={list(report.failed_cells)}"
-        )
-    records = [result.record for result in report.results]
-    envelope = aggregate_envelope(config.chaos, records)
-    campaign = ChaosCampaignResult(
-        config=config.chaos, records=records, envelope=envelope
-    )
-    rollup = rollup_fleet(
-        n_cells=len(report.results),
-        collision_rate=envelope.collision_rate,
-        safe_stop_rate=envelope.safe_stop_rate,
-        model=tco_model,
-    )
-    return FleetCampaignResult(
-        config=config, report=report, campaign=campaign, rollup=rollup
     )
 
 
@@ -175,7 +106,9 @@ def run_procgen_campaign(
     fault_plan: Optional[WorkerFaultPlan] = None,
     check_determinism: bool = True,
 ) -> ProcGenCampaignResult:
-    """Sweep *n_cells* generated scenarios across the fleet pool.
+    """Sweep *n_cells* generated scenarios through one
+    :meth:`~repro.fleetops.supervisor.FleetSupervisor.run` (*fleet*:
+    its config; None, the default one-worker in-process run).
 
     Each cell samples scene ``(generator_seed, index)`` from *space*
     (None: the default :class:`~repro.scene.procgen.ProcGenSpace`),
@@ -199,8 +132,7 @@ def run_procgen_campaign(
             check_determinism=check_determinism,
         )
     )
-    supervisor = FleetSupervisor(fleet or FleetConfig())
-    report = supervisor.run(
+    report = FleetSupervisor(fleet).run(
         specs,
         journal_path=journal_path,
         fault_plan=fault_plan,
@@ -211,12 +143,7 @@ def run_procgen_campaign(
             "intensity": space.intensity,
         },
     )
-    if not report.ok:
-        raise RuntimeError(
-            f"procgen campaign incomplete: lost={report.lost_cells} "
-            f"duplicates={report.duplicate_cells} "
-            f"failed={list(report.failed_cells)}"
-        )
+    report.raise_if_incomplete("procgen campaign")
     outcomes = [result.record for result in report.results]
     checksum = 0
     topology_counts: Dict[str, int] = {}
@@ -245,15 +172,15 @@ def procgen_summary(result: ProcGenCampaignResult) -> Dict[str, float]:
     return flat
 
 
-def fleet_summary(result: FleetCampaignResult) -> Dict[str, float]:
-    """Flat numeric view of one fleet campaign (rows, snapshots)."""
+def fleet_summary(result: ChaosCampaignResult) -> Dict[str, float]:
+    """Flat numeric view of one chaos campaign: its supervision
+    counters, envelope and fleet rollup (rows, snapshots)."""
+    envelope = result.envelope
     flat = dict(result.report.summary())
-    flat["collision_rate"] = result.campaign.envelope.collision_rate
-    flat["safe_stop_rate"] = result.campaign.envelope.safe_stop_rate
-    flat["deadline_misses"] = float(
-        sum(record.deadline_misses for record in result.campaign.records)
-    )
-    flat["risk_adjusted_profit_per_day_usd"] = (
-        result.rollup.risk_adjusted_profit_per_day_usd
-    )
+    flat["collision_rate"] = envelope.collision_rate
+    flat["safe_stop_rate"] = envelope.safe_stop_rate
+    flat["deadline_misses"] = float(envelope.deadline_misses)
+    flat["risk_adjusted_profit_per_day_usd"] = rollup_fleet(
+        envelope
+    ).risk_adjusted_profit_per_day_usd
     return flat

@@ -22,10 +22,12 @@ module gives those cells one shared executor:
   takes specs in lockstep groups of :data:`LOCKSTEP_GROUP` cells and
   :func:`drive_group` advances every drive of a group through one
   :func:`~repro.runtime.batched.drive_batch` call.  :func:`run_cell` is
-  a group of one; pool workers, the supervisor's serial fallback, the
-  shrinker, the corpus sweep and ``--cell-id`` replay all call it.  The
-  differential harness (:mod:`repro.testing.differential`) checks that
-  same group step against the scalar drive.
+  a group of one.  Campaigns reach both only through
+  :meth:`~repro.fleetops.supervisor.FleetSupervisor.run`: its
+  in-process path runs groups, and pool workers run one cell each.  The
+  shrinker and ``--cell-id`` replay call :func:`run_cell` directly.
+  The differential harness (:mod:`repro.testing.differential`) checks
+  the group step against the scalar drive.
 
 A cell is a *pure function of its spec*: all randomness derives from
 seeds the spec carries, drives share no state, and ``drive_batch``
@@ -272,6 +274,8 @@ class DrillRecord:
     reactive_interventions: int
     restarts: int
     worst_availability: float
+    #: Mean time to repair of the drill's module restarts (None: none).
+    mttr_s: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -475,6 +479,7 @@ def _finish_drill(cell: DrillCell, _context, _drives, results):
         worst_availability=(
             1.0 if health is None else health.worst_availability
         ),
+        mttr_s=None if health is None else health.mean_time_to_repair_s,
     )
     summary = {
         "collided": float(record.collided),
@@ -723,7 +728,8 @@ def parse_cell_id(cell_id: str) -> CellSpec:
     Triage ids, and ids of a non-default chaos config or procgen space
     (``:x<crc>``), embed a CRC of their payload and cannot be
     reconstructed from the id alone; replay triage cells from the
-    regression corpus instead.
+    regression corpus instead.  Every refusal, an unknown scene or
+    drill included, is a ``ValueError``.
     """
     parts = cell_id.split(":")
     kind = parts[0]
@@ -749,6 +755,10 @@ def parse_cell_id(cell_id: str) -> CellSpec:
                 fault_seed = int(fields[-1][1:])
                 fields = fields[:-1]
             name, seed = ":".join(fields[:-1]), int(fields[-1])
+            from ..scene.providers import is_known_scene
+
+            if not is_known_scene(name):
+                raise ValueError(f"unknown scene {name!r}")
             return CellSpec(
                 kind="invariant",
                 index=0,
@@ -808,6 +818,10 @@ def parse_cell_id(cell_id: str) -> CellSpec:
             arm, seed = parts[-2], int(parts[-1])
             if arm not in ("net", "raw"):
                 raise ValueError(f"bad drill arm {arm!r}")
+            from ..experiments.fault_campaign import DRILL_SCENARIOS
+
+            if scenario not in DRILL_SCENARIOS:
+                raise ValueError(f"unknown drill scenario {scenario!r}")
             return CellSpec(
                 kind="drill",
                 index=0,

@@ -1,10 +1,11 @@
-"""Supervised multi-process worker pool for fleet campaigns.
+"""The campaign runner: in process, or on a supervised worker pool.
 
 The :class:`FleetSupervisor` runs a grid of
-:class:`~repro.fleetops.cells.CellSpec` cells across a pool of worker
-processes and is robust by construction, borrowing the discipline the
-on-vehicle :class:`~repro.robustness.health.HealthMonitor` applies to
-vehicle modules:
+:class:`~repro.fleetops.cells.CellSpec` cells.  With more than one
+worker it runs them across a pool of worker processes that is robust by
+construction, borrowing the discipline the on-vehicle
+:class:`~repro.robustness.health.HealthMonitor` applies to vehicle
+modules:
 
 * **Heartbeat liveness.**  Every worker runs a daemon thread stamping a
   shared-memory timestamp; a stale stamp (or a dead process) marks the
@@ -24,10 +25,19 @@ vehicle modules:
   discarded by cell id.  Because :func:`~repro.fleetops.cells.run_cell`
   is pure per spec, both results are bit-identical, so discarding is
   lossless.
-* **Graceful degradation to serial.**  When the pool collapses (every
-  worker dead, restart budget spent) the supervisor finishes the
-  remaining cells in-process — slower, never wrong, the campaign-engine
-  analogue of REACTIVE_ONLY mode.
+* **Graceful degradation to in-process.**  When the pool collapses
+  (every worker dead, restart budget spent) the supervisor finishes the
+  remaining cells in-process — the campaign-engine analogue of
+  REACTIVE_ONLY mode.
+
+``n_workers`` alone decides where cells run.  With one worker (the
+default) there is no pool: the in-process path drives the cells in
+:func:`~repro.fleetops.cells.lockstep_groups` through
+:func:`~repro.fleetops.cells.run_cells`, one
+:func:`~repro.runtime.batched.drive_batch` call per group, and re-runs
+a group that raises one cell at a time, so only the culprit fails and
+the others keep their bit-identical results.  Every campaign in the
+repo runs its cells through :meth:`FleetSupervisor.run`.
 
 Completed cells are checkpointed to the crash-consistent campaign
 journal (:mod:`repro.fleetops.journal`) before being counted, so an
@@ -52,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .cells import CellResult, CellSpec, run_cell
+from .cells import CellResult, CellSpec, lockstep_groups, run_cell, run_cells
 from .injection import WorkerFaultPlan
 from .journal import (
     CampaignJournal,
@@ -66,7 +76,8 @@ from .journal import (
 class FleetConfig:
     """Supervision policy for one fleet run."""
 
-    n_workers: int = 4
+    #: 1: run in process, in lockstep groups; more: a worker pool.
+    n_workers: int = 1
     #: Hard per-cell wall-clock ceiling; past it the worker is killed
     #: and the cell retried.
     cell_timeout_s: float = 120.0
@@ -165,6 +176,15 @@ class FleetRunReport:
             and self.lost_cells == 0
             and self.duplicate_cells == 0
         )
+
+    def raise_if_incomplete(self, campaign: str) -> None:
+        """Raise ``RuntimeError`` unless every cell completed exactly once."""
+        if not self.ok:
+            raise RuntimeError(
+                f"{campaign} incomplete: lost={self.lost_cells} "
+                f"duplicates={self.duplicate_cells} "
+                f"failed={list(self.failed_cells)}"
+            )
 
     def summary(self) -> Dict[str, float]:
         """Flat numeric view (experiment rows, bench snapshots)."""
@@ -390,7 +410,7 @@ class FleetSupervisor:
             remaining = [s for s in specs if s.cell_id not in completed]
             if remaining:
                 if self.config.n_workers == 1:
-                    self._run_serial(remaining, completed, journal, report)
+                    self._run_in_process(remaining, completed, journal, report)
                 else:
                     self._run_pool(
                         remaining, completed, journal, report, fault_plan
@@ -404,31 +424,40 @@ class FleetSupervisor:
         report.wall_s = time.perf_counter() - started
         return report
 
-    # -- serial path (n_workers == 1 or pool collapse) -------------------------
+    # -- in-process path (n_workers == 1 or pool collapse) -------------------
 
-    def _run_serial(
+    def _run_in_process(
         self,
         specs: Sequence[CellSpec],
         completed: Dict[str, CellResult],
         journal: Optional[CampaignJournal],
         report: FleetRunReport,
     ) -> None:
+        """Drive *specs* in lockstep groups; a group that raises is re-run
+        one cell at a time, so only the culprit fails.
+
+        Cells are pure, so the re-run gives every other cell of the
+        group the result it would have had.
+        """
         failed = list(report.failed_cells)
-        for spec in specs:
-            if spec.cell_id in completed:
-                continue
+        for group in lockstep_groups(specs):
             try:
-                result = run_cell(spec)
+                results = run_cells(group)
             except Exception:
-                failed.append(spec.cell_id)
-                report.failure_details[spec.cell_id] = traceback.format_exc(
-                    limit=8
-                )
-                continue
-            completed[spec.cell_id] = result
-            report.serial_fallback_cells += 1
-            if journal is not None:
-                journal.append_cell(result, attempt=0, worker=-1)
+                results = []
+                for spec in group:
+                    try:
+                        results.append(run_cell(spec))
+                    except Exception:
+                        failed.append(spec.cell_id)
+                        report.failure_details[spec.cell_id] = (
+                            traceback.format_exc(limit=8)
+                        )
+            for result in results:
+                completed[result.cell_id] = result
+                report.serial_fallback_cells += 1
+                if journal is not None:
+                    journal.append_cell(result, attempt=0, worker=-1)
         report.failed_cells = tuple(failed)
 
     # -- pool path --------------------------------------------------------------
@@ -462,7 +491,7 @@ class FleetSupervisor:
         except Exception:
             # No usable multiprocessing: the pool never forms at all.
             report.degraded_to_serial = True
-            self._run_serial(specs, completed, journal, report)
+            self._run_in_process(specs, completed, journal, report)
             return
 
         result_q = ctx.Queue()
@@ -619,42 +648,30 @@ class FleetSupervisor:
 
                 # 2. Liveness: dead processes, stale heartbeats, timeouts.
                 for handle in list(workers.values()):
+                    age_s = handle.heartbeat_age_s(now)
                     if not handle.alive:
                         report.worker_crashes += 1
-                        del workers[handle.id]
-                        fail_assignment(handle)
-                        handle.shutdown(timeout_s=0.1)
-                        if restarts_left > 0:
-                            restarts_left -= 1
-                            report.workers_restarted += 1
-                            spawn_worker()
-                        continue
-                    if handle.heartbeat_age_s(now) > config.heartbeat_timeout_s:
+                    elif age_s > config.heartbeat_timeout_s:
                         report.worker_hangs += 1
-                        handle.process.terminate()
-                        handle.process.join(0.5)
-                        del workers[handle.id]
-                        fail_assignment(handle)
-                        handle.shutdown(timeout_s=0.1)
-                        if restarts_left > 0:
-                            restarts_left -= 1
-                            report.workers_restarted += 1
-                            spawn_worker()
-                        continue
-                    if (
+                    elif (
                         not handle.idle
                         and now - handle.dispatched_at > config.cell_timeout_s
                     ):
                         report.worker_timeouts += 1
+                    else:
+                        continue
+                    # Retire the worker: stop a live one before its cell
+                    # is retried, then restart within the budget.
+                    if handle.alive:
                         handle.process.terminate()
                         handle.process.join(0.5)
-                        del workers[handle.id]
-                        fail_assignment(handle)
-                        handle.shutdown(timeout_s=0.1)
-                        if restarts_left > 0:
-                            restarts_left -= 1
-                            report.workers_restarted += 1
-                            spawn_worker()
+                    del workers[handle.id]
+                    fail_assignment(handle)
+                    handle.shutdown(timeout_s=0.1)
+                    if restarts_left > 0:
+                        restarts_left -= 1
+                        report.workers_restarted += 1
+                        spawn_worker()
 
                 # 3. Pool collapse -> graceful degradation to serial.
                 if not workers:
@@ -666,7 +683,7 @@ class FleetSupervisor:
                         if spec.cell_id not in completed
                         and spec.cell_id not in abandoned
                     ]
-                    self._run_serial(leftovers, completed, journal, report)
+                    self._run_in_process(leftovers, completed, journal, report)
                     return
 
                 # 4. Straggler speculation (needs an idle worker).

@@ -274,25 +274,19 @@ def _fleet(seed: int, n_cells: int, n_workers: int):
     (CI gates the resume path separately).  Exactly-once accounting and
     the measured safety envelope are deterministic per seed.
     """
-    from ..fleetops.campaign import (
-        FleetCampaignConfig,
-        fleet_summary,
-        run_fleet_campaign,
-    )
+    from ..fleetops.campaign import fleet_summary
     from ..fleetops.supervisor import FleetConfig
-    from ..robustness.chaos import ChaosConfig
+    from ..robustness.chaos import ChaosConfig, run_chaos_campaign
 
-    config = FleetCampaignConfig(
-        chaos=ChaosConfig(
-            n_drives=n_cells,
-            seed=seed,
-            safety_net=True,
-            duration_s=2.0,
-        ),
-        fleet=FleetConfig(n_workers=n_workers, seed=seed),
+    chaos = ChaosConfig(
+        n_drives=n_cells, seed=seed, safety_net=True, duration_s=2.0
     )
-    flat = fleet_summary(run_fleet_campaign(config))
-    return config.chaos.duration_s, {
+    flat = fleet_summary(
+        run_chaos_campaign(
+            chaos, fleet=FleetConfig(n_workers=n_workers, seed=seed)
+        )
+    )
+    return chaos.duration_s, {
         "n_cells": flat["n_cells"],
         "cells_per_s": flat["cells_per_s"],
         "lost_cells": flat["lost_cells"],

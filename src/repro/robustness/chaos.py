@@ -34,7 +34,7 @@ frontier sweep makes that boundary measurable instead of asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,10 @@ from .faults import (
     SensorStuckValueFault,
     SteeringBiasFault,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..fleetops.injection import WorkerFaultPlan
+    from ..fleetops.supervisor import FleetConfig, FleetRunReport
 
 #: Fault kinds that leave the vision pipeline dark.
 VISION_BLINDING = frozenset({"camera_dropout"})
@@ -361,10 +365,7 @@ def build_chaos_drive(config: ChaosConfig, index: int):
     advance many such vehicles in lockstep.  The sov built here drives
     bit-identically either way.
     """
-    from ..runtime.sov import SovConfig, SystemsOnAVehicle
-    from ..scene.lanes import straight_corridor
-    from ..scene.world import Obstacle, World
-    from ..vehicle.dynamics import VehicleState
+    from ..runtime.sov import obstacle_ahead_scenario
 
     scenario = scenario_for_drive(config.space, config.seed, index)
     duration_s = config.duration_s
@@ -386,21 +387,13 @@ def build_chaos_drive(config: ChaosConfig, index: int):
         scenario = sov.config.scenario or scenario
         duration_s = corridor.duration_s
     else:
-        world = World(
-            obstacles=[
-                Obstacle(config.obstacle_distance_m, 0.0, radius_m=0.4)
-            ]
-        )
-        sov = SystemsOnAVehicle(
-            world=world,
-            lane_map=straight_corridor(length_m=300.0, n_lanes=1),
-            initial_state=VehicleState(speed_mps=config.initial_speed_mps),
-            config=SovConfig(
-                reactive_enabled=config.safety_net,
-                degradation_enabled=config.safety_net,
-                scenario=scenario,
-                seed=drive_seed(config.seed, index),
-            ),
+        sov = obstacle_ahead_scenario(
+            config.obstacle_distance_m,
+            reactive_enabled=config.safety_net,
+            degradation_enabled=config.safety_net,
+            initial_speed_mps=config.initial_speed_mps,
+            seed=drive_seed(config.seed, index),
+            fault_scenario=scenario,
         )
     # Attribution is RNG-free bookkeeping: enabling it for every chaos
     # drive leaves the drive itself bit-identical to an unobserved run.
@@ -562,41 +555,57 @@ class ChaosCampaignResult:
     config: ChaosConfig
     records: List[ChaosDriveRecord]
     envelope: EnvelopeReport
+    #: The supervised run that produced the records: per-cell results
+    #: and supervision counters.
+    report: "FleetRunReport"
 
 
 def iter_cells(config: Optional[ChaosConfig] = None, start: int = 0):
     """Lazily yield the campaign's cells in drive order.
 
     Each yielded :class:`~repro.fleetops.cells.CellSpec` is small,
-    hashable, and picklable, and executes through the same
-    :func:`~repro.fleetops.cells.run_cells` executor the in-process
-    campaign uses — hand them to a
-    :class:`~repro.fleetops.supervisor.FleetSupervisor` and the fleet
-    result is bit-identical to the in-process one.  Nothing is
-    materialized: enumerating a million-drive campaign costs a
-    generator, not a list.
+    hashable, and picklable, and runs bit-identically in process or on
+    a :class:`~repro.fleetops.supervisor.FleetSupervisor` pool.
+    Nothing is materialized: enumerating a million-drive campaign costs
+    a generator, not a list.
     """
     from ..fleetops.cells import chaos_cells
 
     return chaos_cells(config or ChaosConfig(), start=start)
 
 
-def run_chaos_campaign(config: Optional[ChaosConfig] = None) -> ChaosCampaignResult:
+def run_chaos_campaign(
+    config: Optional[ChaosConfig] = None,
+    fleet: Optional["FleetConfig"] = None,
+    journal_path: Optional[str] = None,
+    fault_plan: Optional["WorkerFaultPlan"] = None,
+) -> ChaosCampaignResult:
     """Sweep ``config.n_drives`` sampled scenarios through the SoV.
 
-    In-process path: executes :func:`iter_cells` through
-    :func:`~repro.fleetops.cells.run_cells` — the executor the fleet
-    engine's workers run too, which is what makes fleet campaigns
-    bit-identical to this function by construction.
+    The cells of :func:`iter_cells` run through one
+    :meth:`~repro.fleetops.supervisor.FleetSupervisor.run`: *fleet* is
+    its config (None: the default, one worker, in process).  With
+    *journal_path* set, an interrupted campaign resumes from its
+    journal with exactly-once cell accounting; *fault_plan* injects
+    worker faults into a pool run.  Records come back in drive order,
+    so the envelope is bit-identical however the cells ran.
     """
-    from ..fleetops.cells import run_cells
+    from ..fleetops.supervisor import FleetSupervisor
 
     config = config or ChaosConfig()
-    records = [result.record for result in run_cells(iter_cells(config))]
+    report = FleetSupervisor(fleet).run(
+        iter_cells(config),
+        journal_path=journal_path,
+        fault_plan=fault_plan,
+        meta={"kind": "chaos", "n_drives": config.n_drives},
+    )
+    report.raise_if_incomplete("chaos campaign")
+    records = [result.record for result in report.results]
     return ChaosCampaignResult(
         config=config,
         records=records,
         envelope=aggregate_envelope(config, records),
+        report=report,
     )
 
 

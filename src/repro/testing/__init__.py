@@ -11,7 +11,6 @@ from .invariants import (
     InvariantViolation,
     MatrixReport,
     drive_fingerprint,
-    run_invariant_cell,
     run_invariant_matrix,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "InvariantViolation",
     "MatrixReport",
     "drive_fingerprint",
-    "run_invariant_cell",
     "run_invariant_matrix",
 ]

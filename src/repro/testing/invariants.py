@@ -35,14 +35,14 @@ when modules die (Sec. III-C).  This module states those claims as
     a lying sensor voids the premise, not the system.
 
 Each cell is a ``kind="invariant"`` (or ``"procgen"``) campaign cell:
-:func:`repro.fleetops.cells.run_cells` builds its drives, advances them
-in lockstep with every other drive of its group, and hands the results
-to :func:`_evaluate_cell`, which applies :func:`check_drive_invariant`
+:meth:`~repro.fleetops.supervisor.FleetSupervisor.run` drives it, in
+lockstep with every other drive of its group, and hands the results to
+:func:`_evaluate_cell`, which applies :func:`check_drive_invariant`
 once per invariant.  A failing cell produces an
 :class:`InvariantViolation` carrying the scenario name, seed, and cell
 id, so every violation is a pinned, replayable reproduction by
-construction: ``run_invariant_cell(name, seed)`` is the whole repro
-recipe.
+construction: its :meth:`~InvariantViolation.replay_command` re-runs
+the very cell, fault draw, budget and determinism check included.
 """
 
 from __future__ import annotations
@@ -79,29 +79,20 @@ _RESIDENCY_TOL = 1e-9
 class InvariantViolation:
     """One invariant failing on one cell — a pinned reproduction.
 
-    ``cell_id`` is the campaign cell id the violation occurred in (when
-    the caller knows it), which makes :meth:`replay_command` a paste-able
-    serial replay with tracing enabled — the line every violation report
-    prints, and the entry point the failure-triage shrinker consumes.
+    ``cell_id`` is the campaign cell id the violation occurred in, which
+    makes :meth:`replay_command` a paste-able serial replay with tracing
+    enabled — the line every violation report prints, and the entry
+    point the failure-triage shrinker consumes.
     """
 
     invariant: str
     scenario: str
     seed: int
     detail: str
-    cell_id: str = ""
-
-    def repro(self) -> str:
-        """The one-liner that reproduces this violation."""
-        return (
-            f"run_invariant_cell({self.scenario!r}, seed={self.seed})"
-            f"  # {self.invariant}"
-        )
+    cell_id: str
 
     def replay_command(self) -> str:
         """The shell one-liner that replays this cell serially, traced."""
-        if not self.cell_id:
-            return self.repro()
         tool = (
             "examples/procgen_matrix.py"
             if self.cell_id.startswith("procgen:")
@@ -216,9 +207,11 @@ class MatrixReport:
                 f"mode={cell.final_mode:<13} {verdict}"
             )
         for violation in self.violations:
-            lines.append(f"  !! {violation.repro()}: {violation.detail}")
-            if violation.cell_id:
-                lines.append(f"     replay: {violation.replay_command()}")
+            lines.append(
+                f"  !! {violation.scenario} seed={violation.seed} "
+                f"{violation.invariant}: {violation.detail}"
+            )
+            lines.append(f"     replay: {violation.replay_command()}")
         return "\n".join(lines)
 
 
@@ -486,61 +479,6 @@ def _evaluate_cell(
     )
 
 
-def run_invariant_cell(
-    name: str,
-    seed: int = 0,
-    check_determinism: bool = True,
-    deadline_budget_s: Optional[float] = None,
-) -> CellOutcome:
-    """Drive one cell under the protected configuration and check every
-    applicable invariant.
-
-    *name* is any registered scene spec (see
-    :mod:`repro.scene.providers`): a bare corridor name (``"slalom"``),
-    a qualified one, or a generated family (``"procgen:crossroads"``).
-    *deadline_budget_s* tightens the Eq. 1 budget for the accounting
-    invariant (None: the paper's worst-case avoidance budget).
-    """
-    from ..fleetops.cells import CellSpec, InvariantCell, run_cell
-
-    cell = InvariantCell(
-        name=name,
-        seed=seed,
-        deadline_budget_s=deadline_budget_s,
-        check_determinism=check_determinism,
-    )
-    return run_cell(CellSpec(kind="invariant", index=0, cell=cell)).record
-
-
-def run_generated_cell(
-    space=None,
-    generator_seed: int = 0,
-    cell_index: int = 0,
-    check_determinism: bool = True,
-) -> CellOutcome:
-    """Check one procedurally generated cell ``(generator_seed,
-    cell_index)`` of *space* (None: the default
-    :class:`~repro.scene.procgen.ProcGenSpace`).
-
-    On top of the five drive invariants, generated cells check
-    ``scene_regeneration`` first: sampling the same pair again rebuilds
-    the scene bit for bit — the replay contract every fleet/chaos
-    consumer of generated scenes leans on.  The outcome carries the
-    scene's determinism checksum for campaign-level fingerprinting.
-    """
-    from ..fleetops.cells import CellSpec, ProcGenCell, run_cell
-    from ..scene.procgen import DEFAULT_SPACE
-
-    cell = ProcGenCell(
-        space=DEFAULT_SPACE if space is None else space,
-        generator_seed=generator_seed,
-        cell_index=cell_index,
-        check_determinism=check_determinism,
-    )
-    spec = CellSpec(kind="procgen", index=cell_index, cell=cell)
-    return run_cell(spec).record
-
-
 def run_invariant_matrix(
     names: Optional[Sequence[str]] = None,
     seeds: Sequence[int] = (0, 1, 2),
@@ -550,13 +488,14 @@ def run_invariant_matrix(
 ) -> MatrixReport:
     """Sweep every ``scenario x seed`` cell (None: the whole suite).
 
-    *fleet* is a :class:`~repro.fleetops.supervisor.FleetConfig` to run
-    the sweep on the fault-tolerant worker pool with exactly-once
-    accounting (None: in process through
-    :func:`~repro.fleetops.cells.run_cells`).  Cells come
-    back in the same order, bit-identical, either way.
+    The cells run through one
+    :meth:`~repro.fleetops.supervisor.FleetSupervisor.run`: *fleet* is
+    its :class:`~repro.fleetops.supervisor.FleetConfig` (None: the
+    default, one worker, in process).  Cells come back in the same
+    order, bit-identical, however they ran.
     """
-    from ..fleetops.cells import invariant_cells, run_cells
+    from ..fleetops.cells import invariant_cells
+    from ..fleetops.supervisor import FleetSupervisor
 
     if not seeds:
         raise ValueError("need at least one seed")
@@ -566,16 +505,6 @@ def run_invariant_matrix(
         check_determinism=check_determinism,
         deadline_budget_s=deadline_budget_s,
     )
-    if fleet is None:
-        return MatrixReport(cells=[r.record for r in run_cells(specs)])
-    from ..fleetops.supervisor import FleetSupervisor
-
     report = FleetSupervisor(fleet).run(specs)
-    if not report.ok:
-        raise RuntimeError(
-            "fleet invariant matrix incomplete: "
-            f"lost={report.lost_cells} "
-            f"duplicates={report.duplicate_cells} "
-            f"failed={len(report.failed_cells)}"
-        )
+    report.raise_if_incomplete("invariant matrix")
     return MatrixReport(cells=[r.record for r in report.results])

@@ -7,9 +7,10 @@ Usage::
     python -m repro.triage sweep [--corpus DIR]
     python -m repro.triage list [--corpus DIR]
 
-``sweep`` is the ``corpus_replay`` runner CI uses: exit 0 iff every
-corpus record still violates its filed invariant with a bit-identical
-drive fingerprint (an empty corpus passes vacuously).
+``replay`` exits 2 on a cell id it cannot replay.  ``sweep`` is the
+``corpus_replay`` runner CI uses: exit 0 iff every corpus record still
+violates its filed invariant with a bit-identical drive fingerprint (an
+empty corpus passes vacuously).
 """
 
 from __future__ import annotations
@@ -17,12 +18,18 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..fleetops.cells import parse_cell_id
 from .campaign import TriageCampaignConfig, run_triage_campaign
 from .corpus import load_corpus, replay_corpus
 from .replay import replay_cell
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    try:
+        parse_cell_id(args.cell_id)
+    except ValueError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     result = replay_cell(args.cell_id, trace_path=args.trace)
     violations = getattr(result.record, "violations", ())
     return 1 if violations else 0

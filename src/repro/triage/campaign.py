@@ -17,13 +17,15 @@ triage bench workload run:
    representative (first in campaign order wins).
 4. **Classify** — the seeded re-execution protocol labels each unique
    failure deterministic / flaky / unreproducible
-   (:func:`~repro.triage.flakes.classify_flakes`), on the fleet pool
-   when a :class:`~repro.fleetops.supervisor.FleetConfig` is supplied.
+   (:func:`~repro.triage.flakes.classify_flakes`).
 5. **File + replay** — minimized cells land in the regression corpus
    (:mod:`repro.triage.corpus`) and the ``corpus_replay`` sweep verifies
    every record still reproduces bit-identically.
 
-Everything but wall-clock timing is deterministic per config.
+The harvest and the flake protocol run their cells through
+:meth:`~repro.fleetops.supervisor.FleetSupervisor.run` under the
+config's ``fleet``.  Everything but wall-clock timing is deterministic
+per config.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ class TriageCampaignConfig:
     #: Per-violation shrink budget (candidate drives).
     shrink_max_evaluations: int = 300
     time_resolution_s: float = 0.5
-    #: Fleet pool for the flake protocol (None: serial, same results).
+    #: FleetConfig for the harvest and the flake protocol (None: in
+    #: process; the results are the same).
     fleet: Optional["object"] = None
 
     def __post_init__(self) -> None:
@@ -221,7 +224,8 @@ def run_triage_campaign(
     corpus_dir: str = "corpus",
 ) -> TriageCampaignResult:
     """Run the full harvest -> shrink -> classify -> file -> replay loop."""
-    from ..fleetops.cells import CellSpec, run_cells
+    from ..fleetops.cells import CellSpec
+    from ..fleetops.supervisor import FleetSupervisor
 
     config = config or TriageCampaignConfig()
     started = time.perf_counter()
@@ -230,11 +234,12 @@ def run_triage_campaign(
     # 1. Harvest: run every candidate, keep the violators.
     candidates = harvest_candidates(config)
     result.n_candidates = len(candidates)
-    harvested = run_cells(
+    harvest = FleetSupervisor(config.fleet).run(
         CellSpec(kind="triage", index=i, cell=cell)
         for i, cell in enumerate(candidates)
     )
-    for cell, cell_result in zip(candidates, harvested):
+    harvest.raise_if_incomplete("triage harvest")
+    for cell, cell_result in zip(candidates, harvest.results):
         if cell_result.record.violated:
             result.violations.append((cell, cell_result.record))
 

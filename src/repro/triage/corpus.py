@@ -9,7 +9,9 @@ and trusted-prefix semantics on load (a corrupt file is quarantined to a
 ``.corrupt`` sibling, never silently skipped, never fatal).
 
 :func:`replay_corpus` is the ``corpus_replay`` runner CI sweeps: every
-stored cell re-executes through the standard ``run_cell`` path and must
+stored cell re-executes in process through
+:meth:`~repro.fleetops.supervisor.FleetSupervisor.run`, like any
+campaign's cells, and must
 (a) violate the same invariant it was filed under and (b) reproduce the
 stored drive fingerprint **bit for bit** — the strongest replay claim
 the repo knows how to make.
@@ -206,19 +208,26 @@ def replay_corpus(directory: str, quarantine: bool = True) -> ReplayReport:
     A record passes when the re-run (a) violates the invariant it was
     filed under and (b) matches the stored drive fingerprint exactly.
     """
-    from ..fleetops.cells import CellSpec, run_cell
+    from ..fleetops.cells import CellSpec
+    from ..fleetops.supervisor import FleetSupervisor
 
     state = load_corpus(directory, quarantine=quarantine)
+    report = FleetSupervisor().run(
+        CellSpec(kind="triage", index=i, cell=record.cell)
+        for i, record in enumerate(state.records)
+    )
+    results = {result.index: result for result in report.results}
     failures: List[Tuple[str, str]] = []
     n_pass = 0
-    for record in state.records:
-        try:
-            result = run_cell(
-                CellSpec(kind="triage", index=0, cell=record.cell)
-            )
-        except Exception as exc:
+    for i, record in enumerate(state.records):
+        result = results.get(i)
+        if result is None:
+            detail = report.failure_details[record.cell.cell_id]
             failures.append(
-                (record.fingerprint, f"replay raised {type(exc).__name__}: {exc}")
+                (
+                    record.fingerprint,
+                    f"replay raised {detail.strip().splitlines()[-1]}",
+                )
             )
             continue
         outcome = result.record

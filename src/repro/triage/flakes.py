@@ -3,7 +3,9 @@
 A violation worth a corpus slot should be labeled before it is filed:
 does it reproduce deterministically, or only under some simulation-seed
 draws?  The protocol runs ``n_replicas`` executions of each violating
-cell on the fleet pool:
+cell, all replicas of all cells through one
+:meth:`~repro.fleetops.supervisor.FleetSupervisor.run` — in process, in
+lockstep groups, or on the worker pool:
 
 * **replica 0** is the *exact* original cell — same scene seed, same
   fault schedule, same simulation seed.  Cells are pure per spec, so
@@ -111,12 +113,13 @@ def classify_flakes(
 ) -> List[FlakeClassification]:
     """Run the re-execution protocol for every cell in *cells*.
 
-    *fleet* is a :class:`~repro.fleetops.supervisor.FleetConfig` to run
-    the replica grid on the supervised worker pool (None: serially
-    in-process — same results, cells are pure).  Replicas that error
-    count as non-violating, with the worker traceback attached.
+    *fleet* is the :class:`~repro.fleetops.supervisor.FleetConfig` the
+    replica grid runs under (None: the default, one worker, in
+    process).  Replicas that error count as non-violating, with their
+    traceback attached.
     """
-    from ..fleetops.cells import CellSpec, run_cell
+    from ..fleetops.cells import CellSpec
+    from ..fleetops.supervisor import FleetSupervisor
 
     if n_replicas < 1:
         raise ValueError("need at least one replica")
@@ -141,29 +144,14 @@ def classify_flakes(
     }
     walls: Dict[int, List[float]] = {i: [] for i in range(len(cells))}
     errors: Dict[int, List[str]] = {i: [] for i in range(len(cells))}
-
-    if fleet is not None:
-        from ..fleetops.supervisor import FleetSupervisor
-
-        report = FleetSupervisor(fleet).run(specs)
-        for result in report.results:
-            i, k = owners[result.cell_id]
-            flags[i][k] = bool(result.record.violated)
-            walls[i].append(result.wall_s)
-        for cell_id, traceback_text in report.failure_details.items():
-            if cell_id in owners:
-                i, _k = owners[cell_id]
-                errors[i].append(traceback_text)
-    else:
-        for spec in specs:
-            i, k = owners[spec.cell_id]
-            try:
-                result = run_cell(spec)
-            except Exception as exc:  # an erroring replica is data here
-                errors[i].append(f"{type(exc).__name__}: {exc}")
-                continue
-            flags[i][k] = bool(result.record.violated)
-            walls[i].append(result.wall_s)
+    report = FleetSupervisor(fleet).run(specs)
+    for result in report.results:
+        i, k = owners[result.cell_id]
+        flags[i][k] = bool(result.record.violated)
+        walls[i].append(result.wall_s)
+    for cell_id, traceback_text in report.failure_details.items():
+        i, _k = owners[cell_id]
+        errors[i].append(traceback_text)
 
     classifications: List[FlakeClassification] = []
     for i, cell in enumerate(cells):

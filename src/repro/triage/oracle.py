@@ -7,7 +7,8 @@ still reproduce bit-identically?" — reduces to executing one
 invariant.  This module builds that cell's drive and judges it; the
 ``kind="triage"`` entry of :data:`repro.fleetops.cells.CELL_KINDS`
 drives it, so the shrinker, the flake protocol, the corpus replayer,
-and the fleet runner all share one execution path (``run_cell``).
+and the fleet runner all share one execution path (the lockstep cell
+executor).
 
 The contract matches every other cell kind: **pure per cell**.  The
 scene regenerates from ``(scene, scene_seed, cell_index, space)``, the
@@ -163,7 +164,7 @@ def build_triage_drive(cell):
     drill lane.
     """
     from ..robustness.faults import FaultScenario
-    from ..runtime.sov import SovConfig, SystemsOnAVehicle
+    from ..runtime.sov import SovConfig, obstacle_ahead_scenario
 
     faults = tuple(cell.faults)
     fault_scenario = (
@@ -175,32 +176,26 @@ def build_triage_drive(cell):
         if faults
         else None
     )
-    config = SovConfig(
-        reactive_enabled=cell.safety_net,
-        degradation_enabled=cell.safety_net,
-        scenario=fault_scenario,
-        seed=cell.sim_seed,
-    )
     if cell.scene == DRILL_LANE:
-        from ..scene.lanes import straight_corridor
-        from ..scene.world import Obstacle, World
-        from ..vehicle.dynamics import VehicleState
-
         scenario = None
-        sov = SystemsOnAVehicle(
-            world=World(
-                obstacles=[
-                    Obstacle(cell.obstacle_distance_m, 0.0, radius_m=0.4)
-                ]
-            ),
-            lane_map=straight_corridor(300.0, 1),
-            initial_state=VehicleState(speed_mps=cell.initial_speed_mps),
-            config=config,
+        sov = obstacle_ahead_scenario(
+            cell.obstacle_distance_m,
+            reactive_enabled=cell.safety_net,
+            degradation_enabled=cell.safety_net,
+            initial_speed_mps=cell.initial_speed_mps,
+            seed=cell.sim_seed,
+            fault_scenario=fault_scenario,
         )
     else:
         from ..scene.corridors import make_corridor_sov
 
         scenario = build_triage_scene(cell)
+        config = SovConfig(
+            reactive_enabled=cell.safety_net,
+            degradation_enabled=cell.safety_net,
+            scenario=fault_scenario,
+            seed=cell.sim_seed,
+        )
         sov = make_corridor_sov(
             scenario, safety_net=cell.safety_net, config=config
         )

@@ -1,14 +1,11 @@
 """Tests for fleet campaigns end to end (envelope + TCO rollup),
 including the scenario x seed x fault determinism property sweep."""
 
+import dataclasses
+
 import pytest
 
-from repro.fleetops.campaign import (
-    FleetCampaignConfig,
-    fleet_summary,
-    rollup_fleet,
-    run_fleet_campaign,
-)
+from repro.fleetops.campaign import fleet_summary, rollup_fleet
 from repro.fleetops.cells import drill_cells, invariant_cells, run_cell
 from repro.fleetops.injection import WorkerFaultPlan
 from repro.fleetops.supervisor import FleetConfig, FleetSupervisor
@@ -19,9 +16,7 @@ CHAOS = ChaosConfig(n_drives=6, seed=3, duration_s=2.0)
 
 @pytest.fixture(scope="module")
 def fleet_result():
-    return run_fleet_campaign(
-        FleetCampaignConfig(chaos=CHAOS, fleet=FleetConfig(n_workers=4))
-    )
+    return run_chaos_campaign(CHAOS, fleet=FleetConfig(n_workers=4))
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +28,8 @@ class TestFleetCampaign:
     def test_envelope_bit_identical_to_serial(
         self, fleet_result, serial_result
     ):
-        assert fleet_result.campaign.envelope == serial_result.envelope
-        assert fleet_result.campaign.records == serial_result.records
+        assert fleet_result.envelope == serial_result.envelope
+        assert fleet_result.records == serial_result.records
 
     def test_exactly_once_accounting(self, fleet_result):
         report = fleet_result.report
@@ -44,7 +39,7 @@ class TestFleetCampaign:
         assert len(report.results) == CHAOS.n_drives
 
     def test_rollup_prices_the_measured_envelope(self, fleet_result):
-        rollup = fleet_result.rollup
+        rollup = rollup_fleet(fleet_result.envelope)
         assert rollup.n_cells == CHAOS.n_drives
         assert rollup.best_tier == "our_platform"
         assert rollup.collision_rate == 0.0
@@ -59,9 +54,9 @@ class TestFleetCampaign:
             "dual_server",
         }
 
-    def test_collisions_discount_the_rollup(self):
+    def test_collisions_discount_the_rollup(self, serial_result):
         rollup = rollup_fleet(
-            n_cells=10, collision_rate=0.2, safe_stop_rate=0.1
+            dataclasses.replace(serial_result.envelope, collision_rate=0.2)
         )
         assert rollup.risk_adjusted_profit_per_day_usd == pytest.approx(
             rollup.fleet_profit_per_day_usd * 0.8
@@ -136,7 +131,7 @@ class TestDeterminismProperty:
 
 class TestIncompleteCampaign:
     def test_incomplete_campaign_raises(self, monkeypatch):
-        from repro.fleetops import campaign as campaign_mod
+        from repro.fleetops import supervisor as supervisor_mod
 
         class Broken:
             def __init__(self, *a, **k):
@@ -147,10 +142,6 @@ class TestIncompleteCampaign:
 
                 return FleetRunReport(n_cells=len(list(specs)), n_workers=1)
 
-        monkeypatch.setattr(campaign_mod, "FleetSupervisor", Broken)
+        monkeypatch.setattr(supervisor_mod, "FleetSupervisor", Broken)
         with pytest.raises(RuntimeError, match="incomplete"):
-            run_fleet_campaign(
-                FleetCampaignConfig(
-                    chaos=ChaosConfig(n_drives=2, seed=0, duration_s=2.0)
-                )
-            )
+            run_chaos_campaign(ChaosConfig(n_drives=2, seed=0, duration_s=2.0))

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.fleetops import cells
 from repro.fleetops.cells import (
+    LOCKSTEP_GROUP,
     chaos_cells,
     invariant_cells,
     procgen_cells,
@@ -67,6 +69,56 @@ class TestSerialPath:
                 [specs[0], specs[0]]
             )
 
+    def test_in_process_path_drives_one_lockstep_group(self, monkeypatch):
+        from repro.runtime import batched
+
+        calls = []
+        drive_batch = batched.drive_batch
+
+        def spy(sovs, durations):
+            calls.append(len(sovs))
+            return drive_batch(sovs, durations)
+
+        monkeypatch.setattr(batched, "drive_batch", spy)
+        config = ChaosConfig(n_drives=LOCKSTEP_GROUP, seed=5, duration_s=0.5)
+        report = FleetSupervisor(FleetConfig(n_workers=1)).run(
+            chaos_cells(config)
+        )
+        assert report.ok
+        assert calls == [LOCKSTEP_GROUP]
+
+    def test_raising_drive_fails_alone_in_its_group(self, monkeypatch):
+        # One drive of a lockstep group raises mid-drive: the group is
+        # re-run a cell at a time, and only the culprit fails.
+        config = ChaosConfig(n_drives=LOCKSTEP_GROUP, seed=5, duration_s=1.0)
+        group = list(chaos_cells(config))
+        culprit = group[7]
+        alone = {s.cell_id: run_cell(s).identity() for s in group}
+        chaos = cells.CELL_KINDS["chaos"]
+
+        def build(cell):
+            context, drives = chaos.build(cell)
+            if cell.drive_index == culprit.index:
+
+                def boom(*_args):
+                    raise RuntimeError("injected mid-drive fault")
+
+                drives[0][0]._proactive_post = boom
+            return context, drives
+
+        monkeypatch.setitem(
+            cells.CELL_KINDS, "chaos", cells.CellKind(build, chaos.finish)
+        )
+        report = FleetSupervisor(FleetConfig(n_workers=1)).run(group)
+        assert report.failed_cells == (culprit.cell_id,)
+        assert "injected mid-drive fault" in (
+            report.failure_details[culprit.cell_id]
+        )
+        assert report.lost_cells == 0
+        assert len(report.results) == LOCKSTEP_GROUP - 1
+        for result in report.results:
+            assert result.identity() == alone[result.cell_id]
+
 
 class TestPool:
     def test_fleet_bit_identical_to_serial(self, specs, serial_identities):
@@ -103,6 +155,16 @@ class TestPool:
         assert report.stragglers_detected >= 1
         assert report.speculative_launches >= 1
         assert report.duplicate_cells == 0
+        assert identities(report) == serial_identities
+
+    def test_cell_timeout_retires_the_worker(self, specs, serial_identities):
+        plan = WorkerFaultPlan(delay_cells=((specs[0].cell_id, 3.0),))
+        config = FleetConfig(
+            n_workers=2, cell_timeout_s=1.0, speculative_execution=False
+        )
+        report = FleetSupervisor(config).run(specs, fault_plan=plan)
+        assert report.worker_timeouts >= 1
+        assert report.ok, report.summary()
         assert identities(report) == serial_identities
 
     def test_pool_collapse_degrades_to_serial(self, specs, serial_identities):

@@ -138,8 +138,9 @@ def _mixed_grid():
 
 
 def test_one_executor_mixed_grid():
-    """Every kind through run_cells, one at a time, and the pool: one
-    campaign CRC; every drive matches the scalar ``sov.drive``."""
+    """Every kind through run_cells, one at a time, the in-process
+    supervisor and the pool: one campaign CRC; every drive matches the
+    scalar ``sov.drive``."""
     from repro.fleetops.cells import campaign_crc, run_cell, run_cells
     from repro.fleetops.supervisor import FleetConfig, FleetSupervisor
 
@@ -151,14 +152,19 @@ def test_one_executor_mixed_grid():
 
     grouped = run_cells(specs)
     alone = [run_cell(spec) for spec in specs]
+    in_process = FleetSupervisor(FleetConfig(n_workers=1)).run(specs)
     pool = FleetSupervisor(FleetConfig(n_workers=2)).run(specs)
+    assert in_process.ok
     assert pool.ok
     identities = [r.identity() for r in grouped]
     assert [r.identity() for r in alone] == identities
+    assert [r.identity() for r in in_process.results] == identities
     assert [r.identity() for r in pool.results] == identities
-    assert campaign_crc(alone) == campaign_crc(pool.results) == campaign_crc(
-        grouped
-    )
+    crcs = {
+        campaign_crc(results)
+        for results in (grouped, alone, in_process.results, pool.results)
+    }
+    assert len(crcs) == 1
 
 
 @pytest.mark.slow

@@ -2,20 +2,52 @@
 
 import pytest
 
+from repro.fleetops.cells import (
+    CellSpec,
+    InvariantCell,
+    ProcGenCell,
+    procgen_cells,
+    run_cell,
+)
 from repro.fleetops.supervisor import FleetConfig
 from repro.scene.corridors import corridor_names, run_corridor_drive
+from repro.scene.procgen import DEFAULT_SPACE
 from repro.testing.invariants import (
     INVARIANT_NAMES,
     InvariantViolation,
     MatrixReport,
     drive_fingerprint,
-    run_invariant_cell,
     run_invariant_matrix,
 )
+from repro.triage.replay import replay_cell
 
 #: A tightened Eq. 1 budget that the stalled-perception corridor cannot
 #: hold: guarantees deterministic deadline misses for attribution tests.
 TIGHT_BUDGET_S = 0.15
+
+
+def invariant_cell(name, seed=0, **fields):
+    """The checked outcome of one corridor invariant cell."""
+    cell = InvariantCell(name=name, seed=seed, **fields)
+    return run_cell(CellSpec(kind="invariant", index=0, cell=cell)).record
+
+
+def generated_cell(generator_seed, cell_index, **fields):
+    """The checked outcome of one default-space generated cell."""
+    cell = ProcGenCell(
+        space=DEFAULT_SPACE,
+        generator_seed=generator_seed,
+        cell_index=cell_index,
+        **fields,
+    )
+    spec = CellSpec(kind="procgen", index=cell_index, cell=cell)
+    return run_cell(spec).record
+
+
+def replayed_by_printed_line(line):
+    """Run what a printed ``--cell-id`` replay line runs."""
+    cell_id = line.split("--cell-id ", 1)[1].split()[0]
+    return replay_cell(cell_id, echo=lambda _line: None)
 
 
 class TestFingerprint:
@@ -41,18 +73,18 @@ class TestFingerprint:
 
 class TestCell:
     def test_clean_cell_checks_every_invariant(self):
-        cell = run_invariant_cell("slalom", seed=0)
+        cell = invariant_cell("slalom", seed=0)
         assert cell.ok
         assert set(cell.checked) == set(INVARIANT_NAMES)
         assert not cell.collided
 
     def test_determinism_check_can_be_skipped(self):
-        cell = run_invariant_cell("slalom", seed=0, check_determinism=False)
+        cell = invariant_cell("slalom", seed=0, check_determinism=False)
         assert "replay_determinism" not in cell.checked
         assert cell.ok
 
     def test_blocked_cell_stops_instead_of_colliding(self):
-        cell = run_invariant_cell("cluttered_stop", seed=0)
+        cell = invariant_cell("cluttered_stop", seed=0)
         assert cell.ok
         assert cell.stopped or cell.entered_safe_stop
 
@@ -61,20 +93,20 @@ class TestCell:
         # invariant (checked in-harness) asserts the fractions form a
         # distribution, and a passing cell means it held.
         for name in ("narrow_gap_gps_denied", "slalom_flaky_camera"):
-            cell = run_invariant_cell(name, seed=0, check_determinism=False)
+            cell = invariant_cell(name, seed=0, check_determinism=False)
             assert "residency_sums_to_one" in cell.checked
             assert cell.ok
 
     def test_unknown_scenario_propagates(self):
         with pytest.raises(KeyError):
-            run_invariant_cell("no_such_corridor")
+            invariant_cell("no_such_corridor")
 
 
 class TestDeadlineAttribution:
     """Satellite: misses under a tightened budget stay fully attributed."""
 
     def test_tight_budget_forces_misses_and_accounting_holds(self):
-        cell = run_invariant_cell(
+        cell = invariant_cell(
             "occluded_crossing_stalled",
             seed=0,
             check_determinism=False,
@@ -101,7 +133,7 @@ class TestDeadlineAttribution:
         table.check_consistency()
 
     def test_default_budget_is_clean_on_the_same_cell(self):
-        cell = run_invariant_cell(
+        cell = invariant_cell(
             "occluded_crossing_stalled", seed=0, check_determinism=False
         )
         assert cell.deadline_misses == 0
@@ -183,52 +215,76 @@ class TestMatrix:
 
 class TestViolationReporting:
     def test_violation_repro_is_a_pinned_one_liner(self):
+        # A fault draw, a tight budget and no re-drive: the printed line
+        # replays this cell, not the plain (name, seed) one.
+        cell = InvariantCell(
+            name="occluded_crossing_stalled",
+            seed=4,
+            deadline_budget_s=TIGHT_BUDGET_S,
+            check_determinism=False,
+            fault_seed=23,
+        )
+        original = run_cell(CellSpec(kind="invariant", index=0, cell=cell))
         v = InvariantViolation(
-            invariant="no_collision_or_safe_stop",
-            scenario="slalom",
-            seed=7,
-            detail="2 collision tick(s)",
+            invariant="deadline_accounting",
+            scenario=cell.name,
+            seed=cell.seed,
+            detail="x",
+            cell_id=cell.cell_id,
         )
-        assert v.repro() == (
-            "run_invariant_cell('slalom', seed=7)  # no_collision_or_safe_stop"
+        assert v.replay_command() == (
+            "python examples/corridor_matrix.py --cell-id "
+            "invariant:occluded_crossing_stalled:4:f23:b0.15:nodet"
         )
+        replayed = replayed_by_printed_line(v.replay_command())
+        assert original.record.deadline_misses > 0
+        assert replayed.identity() == original.identity()
 
     def test_failing_report_surfaces_the_repro_line(self):
-        cell_ok = run_invariant_cell("slalom", 0, check_determinism=False)
-        bad = InvariantViolation("reactive_engagement", "slalom", 0, "x")
+        spec = next(
+            procgen_cells(n_cells=1, start_index=3, check_determinism=False)
+        )
+        original = run_cell(spec)
+        outcome = original.record
+        bad = InvariantViolation(
+            "reactive_engagement",
+            outcome.scenario,
+            outcome.seed,
+            "x",
+            cell_id=spec.cell_id,
+        )
         report = MatrixReport(
             cells=[
-                cell_ok,
-                cell_ok.__class__(
-                    **{
-                        **cell_ok.__dict__,
-                        "violations": (bad,),
-                    }
+                outcome.__class__(
+                    **{**outcome.__dict__, "violations": (bad,)}
                 ),
             ]
         )
         assert not report.ok
-        assert "run_invariant_cell('slalom', seed=0)" in report.format_report()
+        [line] = [
+            line
+            for line in report.format_report().splitlines()
+            if "--cell-id" in line
+        ]
+        assert "examples/procgen_matrix.py" in line
+        replayed = replayed_by_printed_line(line)
+        assert replayed.identity() == original.identity()
 
 
 class TestGeneratedCells:
     def test_generated_cell_checks_regeneration_first(self):
-        from repro.testing.invariants import (
-            GENERATED_INVARIANT_NAMES,
-            run_generated_cell,
-        )
+        from repro.testing.invariants import GENERATED_INVARIANT_NAMES
 
-        cell = run_generated_cell(generator_seed=0, cell_index=1)
+        cell = generated_cell(generator_seed=0, cell_index=1)
         assert cell.ok, cell.violations
         assert cell.checked[0] == "scene_regeneration"
         assert set(cell.checked) <= set(GENERATED_INVARIANT_NAMES)
         assert cell.scene_checksum is not None
 
     def test_generated_cell_matches_scene_checksum(self):
-        from repro.scene.procgen import DEFAULT_SPACE, scene_checksum
-        from repro.testing.invariants import run_generated_cell
+        from repro.scene.procgen import scene_checksum
 
-        cell = run_generated_cell(
+        cell = generated_cell(
             generator_seed=2, cell_index=3, check_determinism=False
         )
         assert cell.scene_checksum == scene_checksum(
@@ -236,7 +292,7 @@ class TestGeneratedCells:
         )
 
     def test_qualified_scene_names_route_through_providers(self):
-        cell = run_invariant_cell(
+        cell = invariant_cell(
             "procgen:straight", seed=1, check_determinism=False
         )
         assert cell.scenario == "procgen:straight"
@@ -267,7 +323,7 @@ class TestBatchedEngine:
             names=names, seeds=(0,), check_determinism=False
         )
         alone = [
-            run_invariant_cell(name, 0, check_determinism=False)
+            invariant_cell(name, 0, check_determinism=False)
             for name in names
         ]
         assert grouped.cells == alone

@@ -134,7 +134,7 @@ def test_fleet_and_serial_paths_agree():
     fleet = classify_flakes(
         [DETERMINISTIC_CELL, FLAKY_CELL],
         n_replicas=3,
-        fleet=FleetConfig(n_workers=1),
+        fleet=FleetConfig(n_workers=2),
     )
     assert [c.label for c in serial] == [c.label for c in fleet]
     assert [c.n_violating for c in serial] == [c.n_violating for c in fleet]

@@ -129,7 +129,9 @@ def test_parse_drill_id_round_trips():
     assert spec.cell_id == "drill:camera_blackout:net:0"
 
 
-def test_parse_rejects_triage_and_garbage_ids():
+def test_parse_rejects_triage_and_garbage_ids(capsys):
+    from repro.triage.__main__ import main
+
     with pytest.raises(ValueError, match="not replayable"):
         parse_cell_id(triage_cell().cell_id)
     with pytest.raises(ValueError):
@@ -140,6 +142,13 @@ def test_parse_rejects_triage_and_garbage_ids():
     for garbled in ("procgen:0:3:i1.0:junk", "procgen:0:3:q1.5"):
         with pytest.raises(ValueError, match="unparseable"):
             parse_cell_id(garbled)
+    # Unknown scenes are refused at parse time, not when the cell builds,
+    # and the replay CLI prints the refusal and exits 2.
+    for unknown in ("drill:meteor_strike:net:0", "invariant:no_such_scene:0"):
+        with pytest.raises(ValueError, match="unknown"):
+            parse_cell_id(unknown)
+        assert main(["replay", unknown]) == 2
+        assert "refused" in capsys.readouterr().err
 
 
 def test_parse_invariant_budget_round_trips():
