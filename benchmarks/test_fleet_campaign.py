@@ -75,7 +75,7 @@ def test_200_cell_fleet_bit_identical_to_serial(
 def test_200_cell_interrupted_campaign_resumes_exactly_once(
     tmp_path_factory, serial_identities
 ):
-    """Crash a worker mid-cell AND tear the journal, then resume."""
+    """Crash a worker mid-chunk AND tear the journal, then resume."""
     tmp = tmp_path_factory.mktemp("fleet")
     journal_path = str(tmp / "journal.jsonl")
     specs = list(iter_cells(CHAOS))

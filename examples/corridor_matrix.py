@@ -34,15 +34,14 @@ from repro.testing.invariants import run_invariant_matrix
 
 
 def replay_main(argv) -> None:
-    """The ``--cell-id`` path: re-run one named cell and exit."""
-    from repro.triage.replay import replay_cell
+    """The ``--cell-id`` path: re-run one named cell and exit with the
+    replay CLI's status (1: violations found; 2: the id is refused)."""
+    from repro.triage.__main__ import main as triage_main
 
-    cell_id = argv[argv.index("--cell-id") + 1]
-    trace = (
-        argv[argv.index("--trace") + 1] if "--trace" in argv else None
-    )
-    result = replay_cell(cell_id, trace_path=trace)
-    sys.exit(1 if getattr(result.record, "violations", ()) else 0)
+    args = ["replay", argv[argv.index("--cell-id") + 1]]
+    if "--trace" in argv:
+        args += ["--trace", argv[argv.index("--trace") + 1]]
+    sys.exit(triage_main(args))
 
 
 def main() -> None:

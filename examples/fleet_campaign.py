@@ -2,8 +2,9 @@
 
 Runs one chaos campaign twice — serially, then across the supervised
 worker pool (``repro.fleetops``) with faults injected into the campaign
-runner itself: a worker killed mid-cell, a cell delayed into straggler
-territory, and the checkpoint journal torn mid-record before a resume.
+runner itself: a worker killed mid-chunk, a cell of another chunk
+delayed into straggler territory, and the checkpoint journal torn
+mid-record before a resume.
 Prints the supervision ledger and proves the fleet envelope is
 bit-identical to the serial one through all of it.
 
@@ -24,6 +25,7 @@ from repro.fleetops import (
     rollup_fleet,
     truncate_journal_tail,
 )
+from repro.fleetops.supervisor import chunk_size
 from repro.robustness.chaos import ChaosConfig, iter_cells, run_chaos_campaign
 
 SEED = 0
@@ -48,7 +50,7 @@ def main() -> None:
     specs = list(iter_cells(chaos))
     print(
         f"Fleet campaign — {n_cells} chaos cells across {n_workers} workers"
-        + (" (one worker killed mid-cell)" if kill_worker else "")
+        + (" (one worker killed mid-chunk)" if kill_worker else "")
     )
     print("=" * 78)
 
@@ -62,9 +64,12 @@ def main() -> None:
 
     plan = None
     if kill_worker:
+        # Kill mid-way through the first chunk; delay a cell of the
+        # second, which the kill cannot swallow.
+        chunk = chunk_size(n_cells, n_workers)
         plan = WorkerFaultPlan(
-            crash_cells=(specs[0].cell_id,),
-            delay_cells=((specs[min(2, n_cells - 1)].cell_id, 2.5),),
+            crash_cells=(specs[chunk // 2].cell_id,),
+            delay_cells=((specs[min(chunk, n_cells - 1)].cell_id, 2.5),),
         )
 
     with tempfile.TemporaryDirectory() as tmp:

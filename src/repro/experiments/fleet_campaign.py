@@ -5,9 +5,9 @@ gathered at fleet scale; this experiment runs the same chaos campaign
 twice through :func:`~repro.robustness.chaos.run_chaos_campaign` — once
 in process (the serial reference), once across the supervised worker
 pool (:mod:`repro.fleetops`) *with faults injected into the campaign
-runner itself*: a worker killed mid-cell, a cell delayed past the
-straggler threshold, and the checkpoint journal torn mid-record between
-runs.
+runner itself*: a worker killed mid-chunk, a cell of another chunk
+delayed past the straggler threshold, and the checkpoint journal torn
+mid-record between runs.
 
 The expected shape, mirrored by ``benchmarks/test_fleet_campaign.py``:
 **bit-identical envelopes and zero lost or duplicated cells through
@@ -23,7 +23,7 @@ import tempfile
 
 from ..fleetops.campaign import rollup_fleet
 from ..fleetops.injection import WorkerFaultPlan, truncate_journal_tail
-from ..fleetops.supervisor import FleetConfig, FleetSupervisor
+from ..fleetops.supervisor import FleetConfig, FleetSupervisor, chunk_size
 from ..robustness.chaos import ChaosConfig, iter_cells, run_chaos_campaign
 from .base import ExperimentResult, Row, register
 
@@ -56,9 +56,14 @@ def fleet_campaign() -> ExperimentResult:
     serial_ids = [r.identity() for r in serial.report.results]
 
     specs = list(iter_cells(chaos))
+    # Each worker's first chunk holds `chunk` cells.  The kill lands
+    # mid-way through the first chunk and the delay in the second: a
+    # kill fires before the chunk's later cells run, so in one chunk it
+    # would swallow the delay.
+    chunk = chunk_size(FLEET_DRIVES, FLEET_WORKERS)
     plan = WorkerFaultPlan(
-        crash_cells=(specs[0].cell_id,),
-        delay_cells=((specs[2].cell_id, 2.5),),
+        crash_cells=(specs[chunk // 2].cell_id,),
+        delay_cells=((specs[chunk].cell_id, 2.5),),
     )
     fleet_cfg = FleetConfig(
         n_workers=FLEET_WORKERS,
@@ -117,7 +122,7 @@ def fleet_campaign() -> ExperimentResult:
             1.0,
             float(report.worker_crashes),
             "count",
-            "injected mid-cell worker kill, absorbed by retry + restart",
+            "injected mid-chunk worker kill, absorbed by retry + restart",
         ),
         Row(
             "stragglers_speculated",

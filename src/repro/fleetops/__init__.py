@@ -20,14 +20,14 @@ survive the failures that come with it.  The pieces:
     :class:`~repro.fleetops.supervisor.FleetSupervisor` — the one
     campaign runner.  With one worker (the default) it drives cells in
     process, in lockstep groups, re-running a group that raises one
-    cell at a time; with more, on a supervised multi-process pool with
-    heartbeat liveness, per-cell timeouts, bounded seeded-backoff
-    retries, straggler detection with speculative re-execution, and
-    graceful degradation to in-process execution when the pool
-    collapses.
+    cell at a time; with more, on a supervised multi-process pool whose
+    workers drive chunks of up to 16 cells in lockstep, with heartbeat
+    liveness, wall-clock timeouts, bounded seeded-backoff retries,
+    straggler detection with speculative re-execution, and graceful
+    degradation to in-process execution when the pool collapses.
 
 ``injection``
-    Self-test fault injection: kill workers mid-cell, delay them past
+    Self-test fault injection: kill workers mid-chunk, delay them past
     the straggler threshold, truncate the journal mid-record — the
     chaos-engineering discipline applied to the campaign runner itself.
 

@@ -24,7 +24,8 @@ module gives those cells one shared executor:
   :func:`~repro.runtime.batched.drive_batch` call.  :func:`run_cell` is
   a group of one.  Campaigns reach both only through
   :meth:`~repro.fleetops.supervisor.FleetSupervisor.run`: its
-  in-process path runs groups, and pool workers run one cell each.  The
+  in-process path runs groups, and each pool worker runs a chunk of up
+  to :data:`LOCKSTEP_GROUP` cells as one group per message.  The
   shrinker and ``--cell-id`` replay call :func:`run_cell` directly.
   The differential harness (:mod:`repro.testing.differential`) checks
   the group step against the scalar drive.

@@ -1,7 +1,7 @@
 """Self-test fault injection for the fleet engine itself.
 
 PR 1 pointed fault injection at the vehicle; this module points it at
-the *campaign runner*: workers are killed mid-cell with ``os._exit``
+the *campaign runner*: workers are killed mid-chunk with ``os._exit``
 (no cleanup, no goodbye — the worker simply vanishes the way an OOM
 kill or a segfault would take it), delayed past the straggler threshold
 to trigger speculative re-execution, and the journal is truncated or
@@ -29,7 +29,7 @@ INJECTED_CRASH_EXIT = 117
 class WorkerFaultPlan:
     """Declarative worker-fault schedule, keyed by cell id.
 
-    ``crash_cells`` name cells whose worker hard-exits mid-cell on every
+    ``crash_cells`` name cells whose worker hard-exits mid-chunk on every
     attempt below ``crash_attempts`` (default: first attempt only, so
     the bounded retry recovers).  ``delay_cells`` map cell ids to an
     extra sleep, applied on attempts below ``delay_attempts`` — long

@@ -1,43 +1,49 @@
 """The campaign runner: in process, or on a supervised worker pool.
 
 The :class:`FleetSupervisor` runs a grid of
-:class:`~repro.fleetops.cells.CellSpec` cells.  With more than one
-worker it runs them across a pool of worker processes that is robust by
+:class:`~repro.fleetops.cells.CellSpec` cells.  Wherever a cell runs,
+it runs in a lockstep group through :func:`_run_chunk`: one
+:func:`~repro.runtime.batched.drive_batch` call drives the group, and a
+group that raises is re-run one cell at a time, so only the culprit
+fails and the others keep their bit-identical results.
+
+``n_workers`` alone decides where the groups run.  With one worker (the
+default) there is no pool: the in-process path takes the cells in
+:func:`~repro.fleetops.cells.lockstep_groups` of 16.  With more, each
+idle worker of a pool gets a *chunk* of up to
+:data:`~repro.fleetops.cells.LOCKSTEP_GROUP` cells per message
+(:func:`chunk_size` spreads the pending cells evenly over the live
+workers) and reports one message per cell.  The pool is robust by
 construction, borrowing the discipline the on-vehicle
 :class:`~repro.robustness.health.HealthMonitor` applies to vehicle
 modules:
 
 * **Heartbeat liveness.**  Every worker runs a daemon thread stamping a
   shared-memory timestamp; a stale stamp (or a dead process) marks the
-  worker failed, its in-flight cell is re-queued, and the worker is
-  restarted — up to a bounded restart budget, like the watchdog's
-  supervised module restarts.
-* **Per-cell wall-clock timeouts.**  A cell that exceeds
-  ``cell_timeout_s`` gets its worker terminated and the cell retried
-  elsewhere.
-* **Bounded seeded-backoff retries.**  Failed dispatches retry after an
-  exponential backoff with seeded jitter (same seed, same schedule);
-  past ``max_retries_per_cell`` failures the cell falls back to one
-  final in-process serial attempt.
-* **Straggler speculation.**  An in-flight cell running far past the
-  median completed-cell wall time is speculatively re-dispatched to an
-  idle worker; the first result wins and the loser's duplicate is
-  discarded by cell id.  Because :func:`~repro.fleetops.cells.run_cell`
-  is pure per spec, both results are bit-identical, so discarding is
-  lossless.
+  worker failed, every unreported cell of its chunk is re-queued, and
+  the worker is restarted — up to a bounded restart budget, like the
+  watchdog's supervised module restarts.
+* **Wall-clock timeouts.**  A chunk running longer than
+  ``cell_timeout_s`` times its size gets its worker terminated and its
+  cells retried.
+* **Bounded seeded-backoff retries.**  A failed cell retries alone,
+  after an exponential backoff with seeded jitter (same seed, same
+  schedule); past ``max_retries_per_cell`` failures it falls back to
+  one final in-process attempt.
+* **Straggler speculation.**  A chunk running far past the median
+  completed-cell wall time times its size has its unfinished cells
+  re-dispatched, as one chunk, to an idle worker; the first result for
+  each cell wins and the loser's duplicate is discarded by cell id.
+  Because :func:`~repro.fleetops.cells.run_cell` is pure per spec, both
+  results are bit-identical, so discarding is lossless.
 * **Graceful degradation to in-process.**  When the pool collapses
   (every worker dead, restart budget spent) the supervisor finishes the
   remaining cells in-process — the campaign-engine analogue of
   REACTIVE_ONLY mode.
 
-``n_workers`` alone decides where cells run.  With one worker (the
-default) there is no pool: the in-process path drives the cells in
-:func:`~repro.fleetops.cells.lockstep_groups` through
-:func:`~repro.fleetops.cells.run_cells`, one
-:func:`~repro.runtime.batched.drive_batch` call per group, and re-runs
-a group that raises one cell at a time, so only the culprit fails and
-the others keep their bit-identical results.  Every campaign in the
-repo runs its cells through :meth:`FleetSupervisor.run`.
+Accounting is per cell on every path: each outcome passes through one
+ledger that counts, journals and diagnoses it once.  Every campaign in
+the repo runs its cells through :meth:`FleetSupervisor.run`.
 
 Completed cells are checkpointed to the crash-consistent campaign
 journal (:mod:`repro.fleetops.journal`) before being counted, so an
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 import multiprocessing as mp
 import queue as queue_mod
 import statistics
@@ -58,11 +65,17 @@ import traceback
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .cells import CellResult, CellSpec, lockstep_groups, run_cell, run_cells
+from .cells import (
+    LOCKSTEP_GROUP,
+    CellResult,
+    CellSpec,
+    lockstep_groups,
+    run_cells,
+)
 from .injection import WorkerFaultPlan
 from .journal import (
     CampaignJournal,
@@ -78,8 +91,8 @@ class FleetConfig:
 
     #: 1: run in process, in lockstep groups; more: a worker pool.
     n_workers: int = 1
-    #: Hard per-cell wall-clock ceiling; past it the worker is killed
-    #: and the cell retried.
+    #: Hard wall-clock ceiling per cell: a chunk of k cells gets k times
+    #: this, past which its worker is killed and its cells retried.
     cell_timeout_s: float = 120.0
     #: Worker heartbeat cadence (a daemon thread stamps shared memory).
     heartbeat_interval_s: float = 0.25
@@ -90,8 +103,9 @@ class FleetConfig:
     max_retries_per_cell: int = 2
     retry_backoff_base_s: float = 0.05
     retry_backoff_cap_s: float = 2.0
-    #: Straggler threshold: max(min_straggler_s, factor x median wall
-    #: time of completed cells).  Speculation needs an idle worker.
+    #: Straggler threshold of a chunk of k cells: max(min_straggler_s,
+    #: factor x median wall time of completed cells x k).  Speculation
+    #: needs an idle worker.
     straggler_factor: float = 6.0
     min_straggler_s: float = 5.0
     speculative_execution: bool = True
@@ -210,6 +224,38 @@ class FleetRunReport:
         }
 
 
+# -- one lockstep group, split on failure --------------------------------------
+
+#: A cell's outcome: its result, or the traceback of what it raised alone.
+Outcome = Union[CellResult, str]
+
+
+def chunk_size(n_pending: int, n_workers: int) -> int:
+    """Cells per chunk when *n_pending* cells await *n_workers* live
+    workers: an even share, so no worker idles while another holds a
+    full chunk, and at most one lockstep group."""
+    return min(LOCKSTEP_GROUP, math.ceil(n_pending / n_workers))
+
+
+def _run_chunk(chunk: Sequence[CellSpec]) -> List[Outcome]:
+    """Drive *chunk* as one lockstep group; if the group raises, re-run
+    it one cell at a time, so only the culprit fails.
+
+    Cells are pure, so the re-run gives every other cell of the group
+    the result it would have had.  Outcomes come back in chunk order.
+    The one split policy, shared by the in-process path and the
+    workers.
+    """
+    try:
+        return run_cells(chunk)
+    except Exception:
+        if len(chunk) == 1:
+            return [traceback.format_exc(limit=8)]
+    # Split outside the handler, so a cell's traceback does not chain
+    # the group's.
+    return [outcome for spec in chunk for outcome in _run_chunk([spec])]
+
+
 # -- worker side ---------------------------------------------------------------
 
 
@@ -221,11 +267,15 @@ def _worker_main(
     heartbeat_interval_s: float,
     fault_plan: Optional[WorkerFaultPlan],
 ) -> None:
-    """Worker loop: heartbeat thread + one cell at a time.
+    """Worker loop: heartbeat thread + one chunk at a time.
 
-    Module-level (not a closure) so it pickles under any start method.
-    The injected crash fires *after* the cell is dequeued and before any
-    result is sent — the worker vanishes mid-cell, exactly the failure
+    A chunk is a list of ``(spec, attempt)`` pairs.  The worker drives
+    it through :func:`_run_chunk` — one ``drive_batch`` call unless the
+    group raises — and sends one ``result`` or ``error`` message per
+    cell.  Module-level (not a closure) so it pickles under any start
+    method.  Injected delays and crashes fire in chunk order after the
+    chunk is dequeued and before any of its cells runs: a crash makes
+    the worker vanish mid-chunk with no result sent, exactly the failure
     the supervisor must absorb.
     """
     stop = threading.Event()
@@ -239,31 +289,20 @@ def _worker_main(
     beater.start()
     try:
         while True:
-            task = task_q.get()
-            if task is None:
+            chunk = task_q.get()
+            if chunk is None:
                 break
-            spec, attempt = task
             if fault_plan is not None:
-                delay = fault_plan.delay_for(spec.cell_id, attempt)
-                if delay > 0.0:
-                    time.sleep(delay)
-                if fault_plan.should_crash(spec.cell_id, attempt):
-                    fault_plan.crash_now()
-            try:
-                result = run_cell(spec)
-                result_q.put(
-                    ("result", worker_id, spec.cell_id, attempt, result)
-                )
-            except Exception:
-                result_q.put(
-                    (
-                        "error",
-                        worker_id,
-                        spec.cell_id,
-                        attempt,
-                        traceback.format_exc(limit=8),
-                    )
-                )
+                for spec, attempt in chunk:
+                    delay = fault_plan.delay_for(spec.cell_id, attempt)
+                    if delay > 0.0:
+                        time.sleep(delay)
+                    if fault_plan.should_crash(spec.cell_id, attempt):
+                        fault_plan.crash_now()
+            outcomes = _run_chunk([spec for spec, _attempt in chunk])
+            for (spec, attempt), outcome in zip(chunk, outcomes):
+                kind = "result" if isinstance(outcome, CellResult) else "error"
+                result_q.put((kind, worker_id, spec.cell_id, attempt, outcome))
     finally:
         stop.set()
 
@@ -282,8 +321,11 @@ class _WorkerHandle:
         self.id = worker_id
         self.task_q = ctx.Queue()
         self.heartbeat = ctx.Value("d", time.monotonic())
-        self.cell_id: Optional[str] = None
-        self.attempt = 0
+        #: cell id -> attempt, for each cell of the current chunk that
+        #: the worker has not reported yet.
+        self.chunk: Dict[str, int] = {}
+        #: Cells in the current chunk when it was dispatched.
+        self.size = 0
         self.dispatched_at = 0.0
         self.process = ctx.Process(
             target=_worker_main,
@@ -305,19 +347,16 @@ class _WorkerHandle:
 
     @property
     def idle(self) -> bool:
-        return self.cell_id is None
+        return not self.chunk
 
     def heartbeat_age_s(self, now: float) -> float:
         return now - float(self.heartbeat.value)
 
-    def assign(self, spec: CellSpec, attempt: int, now: float) -> None:
-        self.cell_id = spec.cell_id
-        self.attempt = attempt
+    def assign(self, chunk: List[Tuple[CellSpec, int]], now: float) -> None:
+        self.chunk = {spec.cell_id: attempt for spec, attempt in chunk}
+        self.size = len(chunk)
         self.dispatched_at = now
-        self.task_q.put((spec, attempt))
-
-    def release(self) -> None:
-        self.cell_id = None
+        self.task_q.put(chunk)
 
     def shutdown(self, timeout_s: float = 1.0) -> None:
         try:
@@ -347,8 +386,46 @@ class _CellState:
     dispatches: int = 0
     failures: int = 0
     workers: Set[int] = field(default_factory=set)
-    first_dispatched_at: float = 0.0
     speculated: bool = False
+
+
+@dataclass
+class _Ledger:
+    """The per-cell accounting of one run.
+
+    Every outcome, from the pool or in process, is recorded here, so a
+    cell is counted, journaled and diagnosed once.
+    """
+
+    report: FleetRunReport
+    journal: Optional[CampaignJournal] = None
+    completed: Dict[str, CellResult] = field(default_factory=dict)
+    failed: List[str] = field(default_factory=list)
+
+    def settled(self, cell_id: str) -> bool:
+        return cell_id in self.completed or cell_id in self.failed
+
+    def accept(self, result: CellResult, attempt: int, worker: int) -> bool:
+        """Record *result* unless its cell already completed (first
+        result wins); returns whether it counted."""
+        if result.cell_id in self.completed:
+            self.report.duplicates_discarded += 1
+            return False
+        # A cell that errored on earlier attempts but completed here
+        # carries the last traceback as diagnostic payload (it is
+        # excluded from identity(), so bit-identity is unaffected).
+        detail = self.report.failure_details.pop(result.cell_id, None)
+        if detail is not None and result.error is None:
+            result = dataclasses.replace(result, error=detail)
+        self.completed[result.cell_id] = result
+        if self.journal is not None:
+            self.journal.append_cell(result, attempt=attempt, worker=worker)
+        return True
+
+    def fail(self, cell_id: str, detail: str) -> None:
+        """Give *cell_id* up, keeping the traceback of its last attempt."""
+        self.failed.append(cell_id)
+        self.report.failure_details[cell_id] = detail
 
 
 class FleetSupervisor:
@@ -382,8 +459,7 @@ class FleetSupervisor:
             journal_path=journal_path,
         )
         started = time.perf_counter()
-        completed: Dict[str, CellResult] = {}
-        journal: Optional[CampaignJournal] = None
+        ledger = _Ledger(report)
         if journal_path is not None:
             state = load_journal(journal_path)
             if state.header is not None:
@@ -396,30 +472,29 @@ class FleetSupervisor:
                 known = set(ids)
                 for cell_id, result in state.results.items():
                     if cell_id in known:
-                        completed[cell_id] = result
-                report.cells_from_journal = len(completed)
+                        ledger.completed[cell_id] = result
+                report.cells_from_journal = len(ledger.completed)
                 report.journal_tail_dropped = state.tail_dropped
                 report.journal_duplicates_dropped = state.duplicates_dropped
                 truncate_to_valid_prefix(state)
-            journal = CampaignJournal(
+            ledger.journal = CampaignJournal(
                 journal_path, fsync=self.config.journal_fsync
             )
             if state.header is None:
-                journal.write_header(signature, len(specs), meta)
+                ledger.journal.write_header(signature, len(specs), meta)
         try:
-            remaining = [s for s in specs if s.cell_id not in completed]
+            remaining = [s for s in specs if s.cell_id not in ledger.completed]
             if remaining:
                 if self.config.n_workers == 1:
-                    self._run_in_process(remaining, completed, journal, report)
+                    self._run_in_process(remaining, ledger)
                 else:
-                    self._run_pool(
-                        remaining, completed, journal, report, fault_plan
-                    )
+                    self._run_pool(remaining, ledger, fault_plan)
         finally:
-            if journal is not None:
-                journal.close()
+            if ledger.journal is not None:
+                ledger.journal.close()
+        report.failed_cells = tuple(ledger.failed)
         report.results = sorted(
-            completed.values(), key=lambda result: result.index
+            ledger.completed.values(), key=lambda result: result.index
         )
         report.wall_s = time.perf_counter() - started
         return report
@@ -429,36 +504,24 @@ class FleetSupervisor:
     def _run_in_process(
         self,
         specs: Sequence[CellSpec],
-        completed: Dict[str, CellResult],
-        journal: Optional[CampaignJournal],
-        report: FleetRunReport,
+        ledger: _Ledger,
+        attempts: Optional[Dict[str, int]] = None,
     ) -> None:
-        """Drive *specs* in lockstep groups; a group that raises is re-run
-        one cell at a time, so only the culprit fails.
+        """Drive *specs* in lockstep groups through :func:`_run_chunk`.
 
-        Cells are pure, so the re-run gives every other cell of the
-        group the result it would have had.
+        *attempts* numbers each cell's attempt in its journal record
+        (default 0: the cell was never dispatched).
         """
-        failed = list(report.failed_cells)
+        attempts = attempts or {}
         for group in lockstep_groups(specs):
-            try:
-                results = run_cells(group)
-            except Exception:
-                results = []
-                for spec in group:
-                    try:
-                        results.append(run_cell(spec))
-                    except Exception:
-                        failed.append(spec.cell_id)
-                        report.failure_details[spec.cell_id] = (
-                            traceback.format_exc(limit=8)
-                        )
-            for result in results:
-                completed[result.cell_id] = result
-                report.serial_fallback_cells += 1
-                if journal is not None:
-                    journal.append_cell(result, attempt=0, worker=-1)
-        report.failed_cells = tuple(failed)
+            for spec, outcome in zip(group, _run_chunk(group)):
+                if isinstance(outcome, str):
+                    ledger.fail(spec.cell_id, outcome)
+                    continue
+                ledger.report.serial_fallback_cells += 1
+                ledger.accept(
+                    outcome, attempt=attempts.get(spec.cell_id, 0), worker=-1
+                )
 
     # -- pool path --------------------------------------------------------------
 
@@ -475,12 +538,11 @@ class FleetSupervisor:
     def _run_pool(
         self,
         specs: Sequence[CellSpec],
-        completed: Dict[str, CellResult],
-        journal: Optional[CampaignJournal],
-        report: FleetRunReport,
+        ledger: _Ledger,
         fault_plan: Optional[WorkerFaultPlan],
     ) -> None:
         config = self.config
+        report = ledger.report
         try:
             method = config.mp_start_method or (
                 "fork"
@@ -491,7 +553,7 @@ class FleetSupervisor:
         except Exception:
             # No usable multiprocessing: the pool never forms at all.
             report.degraded_to_serial = True
-            self._run_in_process(specs, completed, journal, report)
+            self._run_in_process(specs, ledger)
             return
 
         result_q = ctx.Queue()
@@ -500,7 +562,6 @@ class FleetSupervisor:
         cells: Dict[str, _CellState] = {}
         retry_heap: List[Tuple[float, int, str]] = []
         retry_seq = 0
-        abandoned: List[str] = list(report.failed_cells)
         wall_times: List[float] = []
         restarts_left = config.max_worker_restarts
         next_worker_id = 0
@@ -515,25 +576,14 @@ class FleetSupervisor:
             next_worker_id += 1
 
         def accept(result: CellResult, attempt: int, worker: int) -> None:
-            if result.cell_id in completed:
-                report.duplicates_discarded += 1
-                return
-            # A cell that errored on earlier attempts but completed here
-            # carries the last traceback as diagnostic payload (it is
-            # excluded from identity(), so bit-identity is unaffected).
-            detail = report.failure_details.pop(result.cell_id, None)
-            if detail is not None and result.error is None:
-                result = dataclasses.replace(result, error=detail)
-            completed[result.cell_id] = result
-            wall_times.append(result.wall_s)
-            cells.pop(result.cell_id, None)
-            if journal is not None:
-                journal.append_cell(result, attempt=attempt, worker=worker)
+            if ledger.accept(result, attempt=attempt, worker=worker):
+                wall_times.append(result.wall_s)
+                cells.pop(result.cell_id, None)
 
         def schedule_retry(cell_id: str) -> None:
             """One dispatch of *cell_id* failed; retry, or fall back."""
             nonlocal retry_seq
-            if cell_id in completed or cell_id in abandoned:
+            if ledger.settled(cell_id):
                 return
             state = cells.get(cell_id)
             if state is None:
@@ -550,75 +600,65 @@ class FleetSupervisor:
                 heapq.heappush(retry_heap, (ready_at, retry_seq, cell_id))
                 retry_seq += 1
                 return
-            # Retry budget spent: one final in-process serial attempt.
+            # Retry budget spent: one final in-process attempt.
             cells.pop(cell_id, None)
-            try:
-                result = run_cell(state.spec)
-            except Exception:
-                abandoned.append(cell_id)
-                report.failure_details[cell_id] = traceback.format_exc(
-                    limit=8
-                )
-                return
-            report.serial_fallback_cells += 1
-            accept(result, attempt=state.dispatches, worker=-1)
+            self._run_in_process(
+                [state.spec], ledger, {cell_id: state.dispatches}
+            )
 
         def fail_assignment(worker: _WorkerHandle) -> None:
-            cell_id = worker.cell_id
-            worker.release()
-            if cell_id is None:
-                return
-            state = cells.get(cell_id)
-            if state is not None:
-                state.workers.discard(worker.id)
-            schedule_retry(cell_id)
+            chunk, worker.chunk = worker.chunk, {}
+            for cell_id in chunk:
+                state = cells.get(cell_id)
+                if state is not None:
+                    state.workers.discard(worker.id)
+                schedule_retry(cell_id)
 
-        def straggler_threshold_s() -> float:
+        def straggler_threshold_s(size: int) -> float:
             if len(wall_times) >= 3:
                 return max(
                     config.min_straggler_s,
-                    config.straggler_factor * statistics.median(wall_times),
+                    config.straggler_factor
+                    * statistics.median(wall_times)
+                    * size,
                 )
             return config.min_straggler_s
 
-        def next_dispatchable(now: float) -> Optional[CellSpec]:
+        def next_chunk(now: float, size: int) -> List[CellSpec]:
+            """A ready retry, alone; else up to *size* pending cells."""
             while retry_heap and retry_heap[0][0] <= now:
                 _ready, _seq, cell_id = heapq.heappop(retry_heap)
-                if cell_id in completed or cell_id in abandoned:
-                    continue
-                return spec_by_id[cell_id]
-            while pending:
+                if not ledger.settled(cell_id):
+                    return [spec_by_id[cell_id]]
+            chunk: List[CellSpec] = []
+            while pending and len(chunk) < size:
                 spec = pending.popleft()
-                if spec.cell_id not in completed:
-                    return spec
-            return None
+                if spec.cell_id not in ledger.completed:
+                    chunk.append(spec)
+            return chunk
 
-        def dispatch(worker: _WorkerHandle, spec: CellSpec, now: float) -> None:
-            state = cells.get(spec.cell_id)
-            if state is None:
-                state = _CellState(spec=spec, first_dispatched_at=now)
-                cells[spec.cell_id] = state
-            attempt = state.dispatches
-            state.dispatches += 1
-            state.workers.add(worker.id)
-            worker.assign(spec, attempt, now)
+        def dispatch(
+            worker: _WorkerHandle, chunk: List[CellSpec], now: float
+        ) -> None:
+            pairs = []
+            for spec in chunk:
+                state = cells.setdefault(spec.cell_id, _CellState(spec=spec))
+                pairs.append((spec, state.dispatches))
+                state.dispatches += 1
+                state.workers.add(worker.id)
+            worker.assign(pairs, now)
 
         for _ in range(config.n_workers):
             spawn_worker()
 
         def outstanding() -> int:
-            done = sum(
-                1
-                for cell_id in spec_by_id
-                if cell_id in completed or cell_id in abandoned
-            )
-            return len(spec_by_id) - done
+            return sum(not ledger.settled(cell_id) for cell_id in spec_by_id)
 
         try:
             while outstanding() > 0:
                 now = time.monotonic()
 
-                # 1. Drain completed work.
+                # 1. Drain completed work, one message per cell.
                 try:
                     message = result_q.get(timeout=config.poll_interval_s)
                 except queue_mod.Empty:
@@ -631,8 +671,8 @@ class FleetSupervisor:
                 if message is not None:
                     kind, worker_id, cell_id, attempt, payload = message
                     handle = workers.get(worker_id)
-                    if handle is not None and handle.cell_id == cell_id:
-                        handle.release()
+                    if handle is not None and cell_id in handle.chunk:
+                        del handle.chunk[cell_id]
                         state = cells.get(cell_id)
                         if state is not None:
                             state.workers.discard(worker_id)
@@ -655,13 +695,14 @@ class FleetSupervisor:
                         report.worker_hangs += 1
                     elif (
                         not handle.idle
-                        and now - handle.dispatched_at > config.cell_timeout_s
+                        and now - handle.dispatched_at
+                        > config.cell_timeout_s * handle.size
                     ):
                         report.worker_timeouts += 1
                     else:
                         continue
-                    # Retire the worker: stop a live one before its cell
-                    # is retried, then restart within the budget.
+                    # Retire the worker: stop a live one before its cells
+                    # are retried, then restart within the budget.
                     if handle.alive:
                         handle.process.terminate()
                         handle.process.join(0.5)
@@ -676,46 +717,60 @@ class FleetSupervisor:
                 # 3. Pool collapse -> graceful degradation to serial.
                 if not workers:
                     report.degraded_to_serial = True
-                    report.failed_cells = tuple(abandoned)
                     leftovers = [
                         spec
                         for spec in specs
-                        if spec.cell_id not in completed
-                        and spec.cell_id not in abandoned
+                        if not ledger.settled(spec.cell_id)
                     ]
-                    self._run_in_process(leftovers, completed, journal, report)
+                    self._run_in_process(
+                        leftovers,
+                        ledger,
+                        {cell_id: s.dispatches for cell_id, s in cells.items()},
+                    )
                     return
 
-                # 4. Straggler speculation (needs an idle worker).
+                # 4. Straggler speculation: a chunk past its threshold
+                # sends its unfinished cells, as one chunk, to an idle
+                # worker.  Counted per cell.
                 if config.speculative_execution:
-                    threshold = straggler_threshold_s()
                     idle = [h for h in workers.values() if h.idle and h.alive]
-                    for state in list(cells.values()):
+                    for handle in list(workers.values()):
                         if not idle:
                             break
-                        if state.speculated or len(state.workers) != 1:
+                        running_s = now - handle.dispatched_at
+                        if handle.idle or running_s <= straggler_threshold_s(
+                            handle.size
+                        ):
                             continue
-                        if now - state.first_dispatched_at <= threshold:
+                        stragglers = [
+                            cells[cell_id]
+                            for cell_id in handle.chunk
+                            if cell_id in cells
+                            and not cells[cell_id].speculated
+                        ]
+                        if not stragglers:
                             continue
-                        report.stragglers_detected += 1
-                        report.speculative_launches += 1
-                        state.speculated = True
-                        dispatch(idle.pop(), state.spec, now)
+                        report.stragglers_detected += len(stragglers)
+                        report.speculative_launches += len(stragglers)
+                        for state in stragglers:
+                            state.speculated = True
+                        dispatch(
+                            idle.pop(), [s.spec for s in stragglers], now
+                        )
 
-                # 5. Dispatch pending/retry work onto idle workers.
-                for handle in workers.values():
-                    if not handle.idle or not handle.alive:
-                        continue
-                    spec = next_dispatchable(now)
-                    if spec is None:
-                        break
-                    dispatch(handle, spec, now)
+                # 5. Dispatch onto idle workers: a ready retry alone,
+                # else a chunk of pending cells, sized once per pass.
+                idle = [h for h in workers.values() if h.idle and h.alive]
+                if idle:
+                    size = chunk_size(
+                        len(pending), sum(h.alive for h in workers.values())
+                    )
+                    for handle in idle:
+                        chunk = next_chunk(now, size)
+                        if not chunk:
+                            break
+                        dispatch(handle, chunk, now)
         finally:
-            merged = list(abandoned)
-            for cell_id in report.failed_cells:
-                if cell_id not in merged:
-                    merged.append(cell_id)
-            report.failed_cells = tuple(merged)
             for handle in workers.values():
                 handle.shutdown()
             try:

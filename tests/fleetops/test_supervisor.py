@@ -36,6 +36,23 @@ def identities(report):
     return [r.identity() for r in report.results]
 
 
+def _log_batch_sizes(monkeypatch, path):
+    """Spy on ``drive_batch``, in this process and in workers forked
+    after the call, logging each call's batch size as one line of
+    *path*; returns a reader of the sorted sizes."""
+    from repro.runtime import batched
+
+    drive_batch = batched.drive_batch
+
+    def spy(sovs, durations):
+        with open(path, "a") as fh:
+            fh.write(f"{len(sovs)}\n")
+        return drive_batch(sovs, durations)
+
+    monkeypatch.setattr(batched, "drive_batch", spy)
+    return lambda: sorted(int(size) for size in path.read_text().split())
+
+
 class TestConfig:
     def test_rejects_nonsense(self):
         with pytest.raises(ValueError):
@@ -69,27 +86,21 @@ class TestSerialPath:
                 [specs[0], specs[0]]
             )
 
-    def test_in_process_path_drives_one_lockstep_group(self, monkeypatch):
-        from repro.runtime import batched
-
-        calls = []
-        drive_batch = batched.drive_batch
-
-        def spy(sovs, durations):
-            calls.append(len(sovs))
-            return drive_batch(sovs, durations)
-
-        monkeypatch.setattr(batched, "drive_batch", spy)
+    def test_in_process_path_drives_one_lockstep_group(
+        self, monkeypatch, tmp_path
+    ):
+        sizes = _log_batch_sizes(monkeypatch, tmp_path / "batches.log")
         config = ChaosConfig(n_drives=LOCKSTEP_GROUP, seed=5, duration_s=0.5)
         report = FleetSupervisor(FleetConfig(n_workers=1)).run(
             chaos_cells(config)
         )
         assert report.ok
-        assert calls == [LOCKSTEP_GROUP]
+        assert sizes() == [LOCKSTEP_GROUP]
 
     def test_raising_drive_fails_alone_in_its_group(self, monkeypatch):
         # One drive of a lockstep group raises mid-drive: the group is
-        # re-run a cell at a time, and only the culprit fails.
+        # re-run a cell at a time, and only the culprit fails — in
+        # process, and inside a pool worker's chunk.
         config = ChaosConfig(n_drives=LOCKSTEP_GROUP, seed=5, duration_s=1.0)
         group = list(chaos_cells(config))
         culprit = group[7]
@@ -109,15 +120,18 @@ class TestSerialPath:
         monkeypatch.setitem(
             cells.CELL_KINDS, "chaos", cells.CellKind(build, chaos.finish)
         )
-        report = FleetSupervisor(FleetConfig(n_workers=1)).run(group)
-        assert report.failed_cells == (culprit.cell_id,)
-        assert "injected mid-drive fault" in (
-            report.failure_details[culprit.cell_id]
-        )
-        assert report.lost_cells == 0
-        assert len(report.results) == LOCKSTEP_GROUP - 1
-        for result in report.results:
-            assert result.identity() == alone[result.cell_id]
+        for n_workers in (1, 2):
+            report = FleetSupervisor(FleetConfig(n_workers=n_workers)).run(
+                group
+            )
+            assert report.failed_cells == (culprit.cell_id,)
+            assert "injected mid-drive fault" in (
+                report.failure_details[culprit.cell_id]
+            )
+            assert report.lost_cells == 0
+            assert len(report.results) == LOCKSTEP_GROUP - 1
+            for result in report.results:
+                assert result.identity() == alone[result.cell_id]
 
 
 class TestPool:
@@ -143,6 +157,40 @@ class TestPool:
         state = load_journal(journal_path)
         assert sorted(state.results) == sorted(s.cell_id for s in specs)
 
+    def test_workers_drive_chunks_in_lockstep(self, monkeypatch, tmp_path):
+        # Sixteen cells on two workers: one chunk of eight each, driven
+        # by one drive_batch call, not sixteen calls at N=1.
+        sizes = _log_batch_sizes(monkeypatch, tmp_path / "batches.log")
+        config = ChaosConfig(n_drives=LOCKSTEP_GROUP, seed=5, duration_s=0.5)
+        report = FleetSupervisor(FleetConfig(n_workers=2)).run(
+            chaos_cells(config)
+        )
+        assert report.ok, report.summary()
+        assert sizes() == [8, 8]
+
+    def test_crash_mid_chunk_retries_each_cell_alone(
+        self, monkeypatch, tmp_path
+    ):
+        config = ChaosConfig(n_drives=8, seed=5, duration_s=1.0)
+        grid = list(chaos_cells(config))
+        serial = [run_cell(s).identity() for s in grid]
+        sizes = _log_batch_sizes(monkeypatch, tmp_path / "batches.log")
+        # Chunks of four; the second cell of the first one kills its
+        # worker before any cell of the chunk reports.
+        plan = WorkerFaultPlan(crash_cells=(grid[1].cell_id,))
+        journal_path = str(tmp_path / "journal.jsonl")
+        report = FleetSupervisor(FleetConfig(n_workers=2)).run(
+            grid, journal_path=journal_path, fault_plan=plan
+        )
+        assert report.ok, report.summary()
+        assert report.worker_crashes == 1
+        assert report.retries == 4
+        assert sizes() == [1, 1, 1, 1, 4]
+        assert identities(report) == serial
+        state = load_journal(journal_path)
+        assert state.duplicates_dropped == 0
+        assert sorted(state.results) == sorted(s.cell_id for s in grid)
+
     def test_straggler_speculation_first_result_wins(
         self, specs, serial_identities
     ):
@@ -158,7 +206,9 @@ class TestPool:
         assert identities(report) == serial_identities
 
     def test_cell_timeout_retires_the_worker(self, specs, serial_identities):
-        plan = WorkerFaultPlan(delay_cells=((specs[0].cell_id, 3.0),))
+        # Chunks of three get three times cell_timeout_s: the delay
+        # overruns that ceiling by as much as it overran one cell's.
+        plan = WorkerFaultPlan(delay_cells=((specs[0].cell_id, 5.0),))
         config = FleetConfig(
             n_workers=2, cell_timeout_s=1.0, speculative_execution=False
         )
@@ -181,6 +231,46 @@ class TestPool:
         assert report.degraded_to_serial
         assert report.serial_fallback_cells >= 1
         assert identities(report) == serial_identities
+
+    def test_collapse_moves_a_completed_cells_traceback_to_its_result(
+        self, monkeypatch
+    ):
+        # The culprit's build raises only inside workers, and the cells
+        # of the other chunk crash their worker on every attempt, so the
+        # pool collapses while the culprit still has retries left.  It
+        # then completes in process: its worker traceback moves onto its
+        # result, and failure_details keeps only cells that failed.
+        import multiprocessing
+
+        config = ChaosConfig(n_drives=4, seed=5, duration_s=1.0)
+        grid = list(chaos_cells(config))
+        serial = [run_cell(s).identity() for s in grid]
+        culprit = grid[0]
+        chaos = cells.CELL_KINDS["chaos"]
+
+        def build(cell):
+            in_worker = multiprocessing.parent_process() is not None
+            if in_worker and cell.drive_index == culprit.cell.drive_index:
+                raise RuntimeError("injected worker-only fault")
+            return chaos.build(cell)
+
+        monkeypatch.setitem(
+            cells.CELL_KINDS, "chaos", cells.CellKind(build, chaos.finish)
+        )
+        plan = WorkerFaultPlan(
+            crash_cells=(grid[2].cell_id, grid[3].cell_id), crash_attempts=99
+        )
+        fleet = FleetConfig(
+            n_workers=2, max_worker_restarts=0, max_retries_per_cell=8
+        )
+        report = FleetSupervisor(fleet).run(grid, fault_plan=plan)
+        assert report.ok, report.summary()
+        assert report.degraded_to_serial
+        assert report.cell_errors >= 1
+        assert report.failure_details == {}
+        [result] = [r for r in report.results if r.cell_id == culprit.cell_id]
+        assert "injected worker-only fault" in result.error
+        assert identities(report) == serial
 
     def test_retry_budget_exhaustion_falls_back_in_process(
         self, specs, serial_identities

@@ -139,9 +139,11 @@ def _mixed_grid():
 
 def test_one_executor_mixed_grid():
     """Every kind through run_cells, one at a time, the in-process
-    supervisor and the pool: one campaign CRC; every drive matches the
-    scalar ``sov.drive``."""
+    supervisor, the chunked pool, and the pool with a worker killed
+    mid-chunk: one campaign CRC; every drive matches the scalar
+    ``sov.drive``."""
     from repro.fleetops.cells import campaign_crc, run_cell, run_cells
+    from repro.fleetops.injection import WorkerFaultPlan
     from repro.fleetops.supervisor import FleetConfig, FleetSupervisor
 
     specs = _mixed_grid()
@@ -154,17 +156,22 @@ def test_one_executor_mixed_grid():
     alone = [run_cell(spec) for spec in specs]
     in_process = FleetSupervisor(FleetConfig(n_workers=1)).run(specs)
     pool = FleetSupervisor(FleetConfig(n_workers=2)).run(specs)
+    # Chunks of four and three; the kill on the first chunk's second
+    # cell re-runs its four cells alone, at N=1.
+    killed = FleetSupervisor(FleetConfig(n_workers=2)).run(
+        specs, fault_plan=WorkerFaultPlan(crash_cells=(specs[1].cell_id,))
+    )
     assert in_process.ok
     assert pool.ok
+    assert killed.ok, killed.summary()
+    assert (killed.worker_crashes, killed.retries) == (1, 4)
+    engines = (
+        grouped, alone, in_process.results, pool.results, killed.results
+    )
     identities = [r.identity() for r in grouped]
-    assert [r.identity() for r in alone] == identities
-    assert [r.identity() for r in in_process.results] == identities
-    assert [r.identity() for r in pool.results] == identities
-    crcs = {
-        campaign_crc(results)
-        for results in (grouped, alone, in_process.results, pool.results)
-    }
-    assert len(crcs) == 1
+    for results in engines:
+        assert [r.identity() for r in results] == identities
+    assert len({campaign_crc(results) for results in engines}) == 1
 
 
 @pytest.mark.slow

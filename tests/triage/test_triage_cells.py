@@ -1,7 +1,9 @@
 """Triage cells: purity, identity, id parsing, and supervisor error capture;
 and one property over every cell kind's id grammar."""
 
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -143,12 +145,23 @@ def test_parse_rejects_triage_and_garbage_ids(capsys):
         with pytest.raises(ValueError, match="unparseable"):
             parse_cell_id(garbled)
     # Unknown scenes are refused at parse time, not when the cell builds,
-    # and the replay CLI prints the refusal and exits 2.
+    # and the replay CLI — and the examples' --cell-id replay, whose exit
+    # status 1 means "violations found" — prints the refusal and exits 2.
+    examples = Path(__file__).resolve().parents[2] / "examples"
+    example_replays = [
+        runpy.run_path(str(examples / script))["replay_main"]
+        for script in ("corridor_matrix.py", "procgen_matrix.py")
+    ]
     for unknown in ("drill:meteor_strike:net:0", "invariant:no_such_scene:0"):
         with pytest.raises(ValueError, match="unknown"):
             parse_cell_id(unknown)
         assert main(["replay", unknown]) == 2
         assert "refused" in capsys.readouterr().err
+        for replay_main in example_replays:
+            with pytest.raises(SystemExit) as exited:
+                replay_main(["--cell-id", unknown])
+            assert exited.value.code == 2
+            assert "refused" in capsys.readouterr().err
 
 
 def test_parse_invariant_budget_round_trips():
