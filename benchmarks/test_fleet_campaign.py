@@ -29,7 +29,7 @@ CHAOS = ChaosConfig(
     duration_s=ACCEPTANCE_DURATION_S,
     safety_net=True,
 )
-FLEET = FleetConfig(n_workers=4, seed=ACCEPTANCE_SEED)
+FLEET = FleetConfig(n_workers=4)
 
 
 def test_fleet_campaign_experiment(benchmark, record_table):

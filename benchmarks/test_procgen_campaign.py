@@ -57,7 +57,7 @@ def test_procgen_fleet_slice_identical_to_serial():
     result = run_procgen_campaign(
         generator_seed=ACCEPTANCE_SEED,
         n_cells=n_cells,
-        fleet=FleetConfig(n_workers=4, seed=ACCEPTANCE_SEED),
+        fleet=FleetConfig(n_workers=4),
     )
     report = result.report
     assert report.ok, report.summary()

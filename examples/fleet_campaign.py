@@ -43,7 +43,6 @@ def main() -> None:
     )
     fleet = FleetConfig(
         n_workers=n_workers,
-        seed=SEED,
         min_straggler_s=1.0,
         straggler_factor=4.0,
     )
@@ -91,7 +90,6 @@ def main() -> None:
             f"  supervision: crashes {report.worker_crashes}, "
             f"restarts {report.workers_restarted}, "
             f"retries {report.retries}, "
-            f"stragglers {report.stragglers_detected}, "
             f"speculative {report.speculative_launches}, "
             f"twins discarded {report.duplicates_discarded}"
         )

@@ -85,7 +85,7 @@ def main() -> None:
     campaign = run_procgen_campaign(
         generator_seed=generator_seed,
         n_cells=n_cells,
-        fleet=FleetConfig(n_workers=2, seed=generator_seed),
+        fleet=FleetConfig(n_workers=2),
     )
     flat = procgen_summary(campaign)
     print(

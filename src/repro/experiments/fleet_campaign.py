@@ -67,7 +67,6 @@ def fleet_campaign() -> ExperimentResult:
     )
     fleet_cfg = FleetConfig(
         n_workers=FLEET_WORKERS,
-        seed=FLEET_SEED,
         min_straggler_s=1.0,
         straggler_factor=4.0,
     )

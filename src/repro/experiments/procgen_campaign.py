@@ -55,7 +55,7 @@ def procgen_campaign() -> ExperimentResult:
     result = run_procgen_campaign(
         generator_seed=GENERATOR_SEED,
         n_cells=PROCGEN_CELLS,
-        fleet=FleetConfig(n_workers=PROCGEN_WORKERS, seed=GENERATOR_SEED),
+        fleet=FleetConfig(n_workers=PROCGEN_WORKERS),
     )
     summary = procgen_summary(result)
     cells = result.matrix.cells

@@ -22,9 +22,10 @@ survive the failures that come with it.  The pieces:
     process, in lockstep groups, re-running a group that raises one
     cell at a time; with more, on a supervised multi-process pool whose
     workers drive chunks of up to 16 cells in lockstep, with heartbeat
-    liveness, wall-clock timeouts, bounded seeded-backoff retries,
-    straggler detection with speculative re-execution, and graceful
-    degradation to in-process execution when the pool collapses.
+    liveness, wall-clock timeouts, bounded retries (a failed cell goes
+    alone to the next idle worker), straggler detection with
+    speculative re-execution, and graceful degradation to in-process
+    execution when the pool collapses.
 
 ``injection``
     Self-test fault injection: kill workers mid-chunk, delay them past

@@ -2,7 +2,7 @@
 
 The journal is the fleet engine's checkpoint/resume substrate: every
 completed cell is appended as one self-checksummed JSON line, flushed
-(and by default fsynced) before the supervisor considers the cell done.
+and fsynced before the supervisor considers the cell done.
 A campaign killed at any instant — mid-line included — therefore leaves
 a journal that is a *valid prefix* of its history, and resuming replays
 exactly the cells that are missing: no cell is lost, no cell is counted
@@ -108,9 +108,8 @@ class JournalState:
 class CampaignJournal:
     """Single-writer append-only journal for one campaign run."""
 
-    def __init__(self, path: str, fsync: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.fsync = fsync
         self._fh = open(path, "a", encoding="utf-8")
 
     # -- writing ---------------------------------------------------------------
@@ -119,8 +118,7 @@ class CampaignJournal:
         line = json.dumps(_seal(record), sort_keys=True)
         self._fh.write(line + "\n")
         self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
 
     def write_header(
         self,

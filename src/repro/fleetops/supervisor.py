@@ -26,10 +26,9 @@ modules:
 * **Wall-clock timeouts.**  A chunk running longer than
   ``cell_timeout_s`` times its size gets its worker terminated and its
   cells retried.
-* **Bounded seeded-backoff retries.**  A failed cell retries alone,
-  after an exponential backoff with seeded jitter (same seed, same
-  schedule); past ``max_retries_per_cell`` failures it falls back to
-  one final in-process attempt.
+* **Bounded retries.**  A failed cell joins a FIFO queue and goes,
+  alone, to the next idle worker; past ``max_retries_per_cell``
+  failures it falls back to one final in-process attempt.
 * **Straggler speculation.**  A chunk running far past the median
   completed-cell wall time times its size has its unfinished cells
   re-dispatched, as one chunk, to an idle worker; the first result for
@@ -46,15 +45,20 @@ ledger that counts, journals and diagnoses it once.  Every campaign in
 the repo runs its cells through :meth:`FleetSupervisor.run`.
 
 Completed cells are checkpointed to the crash-consistent campaign
-journal (:mod:`repro.fleetops.journal`) before being counted, so an
-interrupted campaign resumes with exactly-once accounting: zero lost
-cells, zero duplicated cells.
+journal (:mod:`repro.fleetops.journal`), fsynced, before being counted,
+so an interrupted campaign resumes with exactly-once accounting: zero
+lost cells, zero duplicated cells.
+
+The pool's mechanics are constants: workers start with ``fork`` where
+the platform has it, stamp a heartbeat every
+:data:`HEARTBEAT_INTERVAL_S` and count as hung past
+:data:`HEARTBEAT_TIMEOUT_S`; the supervisor waits at most
+:data:`POLL_INTERVAL_S` for a result per loop turn.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
 import multiprocessing as mp
 import queue as queue_mod
@@ -62,12 +66,9 @@ import statistics
 import threading
 import time
 import traceback
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
-
-import numpy as np
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .cells import (
     LOCKSTEP_GROUP,
@@ -84,6 +85,13 @@ from .journal import (
     truncate_to_valid_prefix,
 )
 
+#: Worker heartbeat cadence (a daemon thread stamps shared memory).
+HEARTBEAT_INTERVAL_S = 0.25
+#: A worker whose stamp is older than this is declared hung.
+HEARTBEAT_TIMEOUT_S = 30.0
+#: Supervisor poll cadence (result-queue wait per loop turn).
+POLL_INTERVAL_S = 0.02
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -94,15 +102,9 @@ class FleetConfig:
     #: Hard wall-clock ceiling per cell: a chunk of k cells gets k times
     #: this, past which its worker is killed and its cells retried.
     cell_timeout_s: float = 120.0
-    #: Worker heartbeat cadence (a daemon thread stamps shared memory).
-    heartbeat_interval_s: float = 0.25
-    #: A worker whose stamp is older than this is declared hung.
-    heartbeat_timeout_s: float = 30.0
     #: Re-dispatches allowed per cell after its first failure; past the
     #: budget the cell gets one final in-process serial attempt.
     max_retries_per_cell: int = 2
-    retry_backoff_base_s: float = 0.05
-    retry_backoff_cap_s: float = 2.0
     #: Straggler threshold of a chunk of k cells: max(min_straggler_s,
     #: factor x median wall time of completed cells x k).  Speculation
     #: needs an idle worker.
@@ -112,23 +114,12 @@ class FleetConfig:
     #: Worker restarts allowed pool-wide before the pool is declared
     #: collapsed and the campaign degrades to serial execution.
     max_worker_restarts: int = 8
-    #: Supervisor poll cadence (result-queue wait per loop turn).
-    poll_interval_s: float = 0.02
-    #: Multiprocessing start method (None: fork where available).
-    mp_start_method: Optional[str] = None
-    #: Seed for the retry-backoff jitter stream.
-    seed: int = 0
-    #: fsync the journal after every record (crash consistency; turn
-    #: off only for throughput experiments).
-    journal_fsync: bool = True
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("fleet needs at least one worker")
         if self.cell_timeout_s <= 0:
             raise ValueError("cell timeout must be positive")
-        if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
-            raise ValueError("heartbeat timeout must exceed the interval")
         if self.max_retries_per_cell < 0:
             raise ValueError("retry budget cannot be negative")
         if self.max_worker_restarts < 0:
@@ -151,7 +142,8 @@ class FleetRunReport:
     worker_hangs: int = 0
     worker_timeouts: int = 0
     workers_restarted: int = 0
-    stragglers_detected: int = 0
+    #: Cells re-dispatched to an idle worker because their chunk
+    #: straggled (each is one straggler detected).
     speculative_launches: int = 0
     duplicates_discarded: int = 0
     serial_fallback_cells: int = 0
@@ -213,7 +205,6 @@ class FleetRunReport:
             "worker_hangs": float(self.worker_hangs),
             "worker_timeouts": float(self.worker_timeouts),
             "workers_restarted": float(self.workers_restarted),
-            "stragglers_detected": float(self.stragglers_detected),
             "speculative_launches": float(self.speculative_launches),
             "duplicates_discarded": float(self.duplicates_discarded),
             "serial_fallback_cells": float(self.serial_fallback_cells),
@@ -264,7 +255,6 @@ def _worker_main(
     task_q,
     result_q,
     heartbeat,
-    heartbeat_interval_s: float,
     fault_plan: Optional[WorkerFaultPlan],
 ) -> None:
     """Worker loop: heartbeat thread + one chunk at a time.
@@ -283,7 +273,7 @@ def _worker_main(
     def _beat() -> None:
         while not stop.is_set():
             heartbeat.value = time.monotonic()
-            stop.wait(heartbeat_interval_s)
+            stop.wait(HEARTBEAT_INTERVAL_S)
 
     beater = threading.Thread(target=_beat, daemon=True)
     beater.start()
@@ -315,7 +305,6 @@ class _WorkerHandle:
         ctx,
         worker_id: int,
         result_q,
-        config: FleetConfig,
         fault_plan: Optional[WorkerFaultPlan],
     ) -> None:
         self.id = worker_id
@@ -334,7 +323,6 @@ class _WorkerHandle:
                 self.task_q,
                 result_q,
                 self.heartbeat,
-                config.heartbeat_interval_s,
                 fault_plan,
             ),
             daemon=True,
@@ -359,12 +347,17 @@ class _WorkerHandle:
         self.task_q.put(chunk)
 
     def shutdown(self, timeout_s: float = 1.0) -> None:
-        try:
-            if self.alive:
-                self.task_q.put(None)
-        except Exception:
-            pass
-        self.process.join(timeout_s)
+        """Stop the worker.  An idle one gets the stop sentinel and
+        *timeout_s* to exit; one still holding cells (a straggler or a
+        speculative twin) is terminated at once, as nothing will read
+        its results."""
+        if self.idle:
+            try:
+                if self.alive:
+                    self.task_q.put(None)
+            except Exception:
+                pass
+            self.process.join(timeout_s)
         if self.alive:
             self.process.terminate()
             self.process.join(timeout_s)
@@ -477,9 +470,7 @@ class FleetSupervisor:
                 report.journal_tail_dropped = state.tail_dropped
                 report.journal_duplicates_dropped = state.duplicates_dropped
                 truncate_to_valid_prefix(state)
-            ledger.journal = CampaignJournal(
-                journal_path, fsync=self.config.journal_fsync
-            )
+            ledger.journal = CampaignJournal(journal_path)
             if state.header is None:
                 ledger.journal.write_header(signature, len(specs), meta)
         try:
@@ -525,16 +516,6 @@ class FleetSupervisor:
 
     # -- pool path --------------------------------------------------------------
 
-    def _backoff_s(self, cell_id: str, failure: int) -> float:
-        rng = np.random.default_rng(
-            [self.config.seed, zlib.crc32(cell_id.encode("utf-8")), failure]
-        )
-        base = min(
-            self.config.retry_backoff_cap_s,
-            self.config.retry_backoff_base_s * (2.0 ** max(0, failure - 1)),
-        )
-        return base * (0.5 + float(rng.random()))
-
     def _run_pool(
         self,
         specs: Sequence[CellSpec],
@@ -544,7 +525,7 @@ class FleetSupervisor:
         config = self.config
         report = ledger.report
         try:
-            method = config.mp_start_method or (
+            method = (
                 "fork"
                 if "fork" in mp.get_all_start_methods()
                 else mp.get_start_method(allow_none=False)
@@ -560,8 +541,7 @@ class FleetSupervisor:
         spec_by_id = {spec.cell_id: spec for spec in specs}
         pending = deque(specs)
         cells: Dict[str, _CellState] = {}
-        retry_heap: List[Tuple[float, int, str]] = []
-        retry_seq = 0
+        retry_queue: Deque[str] = deque()
         wall_times: List[float] = []
         restarts_left = config.max_worker_restarts
         next_worker_id = 0
@@ -569,9 +549,7 @@ class FleetSupervisor:
 
         def spawn_worker() -> None:
             nonlocal next_worker_id
-            handle = _WorkerHandle(
-                ctx, next_worker_id, result_q, config, fault_plan
-            )
+            handle = _WorkerHandle(ctx, next_worker_id, result_q, fault_plan)
             workers[handle.id] = handle
             next_worker_id += 1
 
@@ -582,7 +560,6 @@ class FleetSupervisor:
 
         def schedule_retry(cell_id: str) -> None:
             """One dispatch of *cell_id* failed; retry, or fall back."""
-            nonlocal retry_seq
             if ledger.settled(cell_id):
                 return
             state = cells.get(cell_id)
@@ -594,11 +571,7 @@ class FleetSupervisor:
                 return
             if state.failures <= config.max_retries_per_cell:
                 report.retries += 1
-                ready_at = time.monotonic() + self._backoff_s(
-                    cell_id, state.failures
-                )
-                heapq.heappush(retry_heap, (ready_at, retry_seq, cell_id))
-                retry_seq += 1
+                retry_queue.append(cell_id)
                 return
             # Retry budget spent: one final in-process attempt.
             cells.pop(cell_id, None)
@@ -624,10 +597,10 @@ class FleetSupervisor:
                 )
             return config.min_straggler_s
 
-        def next_chunk(now: float, size: int) -> List[CellSpec]:
-            """A ready retry, alone; else up to *size* pending cells."""
-            while retry_heap and retry_heap[0][0] <= now:
-                _ready, _seq, cell_id = heapq.heappop(retry_heap)
+        def next_chunk(size: int) -> List[CellSpec]:
+            """A queued retry, alone; else up to *size* pending cells."""
+            while retry_queue:
+                cell_id = retry_queue.popleft()
                 if not ledger.settled(cell_id):
                     return [spec_by_id[cell_id]]
             chunk: List[CellSpec] = []
@@ -660,7 +633,7 @@ class FleetSupervisor:
 
                 # 1. Drain completed work, one message per cell.
                 try:
-                    message = result_q.get(timeout=config.poll_interval_s)
+                    message = result_q.get(timeout=POLL_INTERVAL_S)
                 except queue_mod.Empty:
                     message = None
                 except Exception:
@@ -691,7 +664,7 @@ class FleetSupervisor:
                     age_s = handle.heartbeat_age_s(now)
                     if not handle.alive:
                         report.worker_crashes += 1
-                    elif age_s > config.heartbeat_timeout_s:
+                    elif age_s > HEARTBEAT_TIMEOUT_S:
                         report.worker_hangs += 1
                     elif (
                         not handle.idle
@@ -750,7 +723,6 @@ class FleetSupervisor:
                         ]
                         if not stragglers:
                             continue
-                        report.stragglers_detected += len(stragglers)
                         report.speculative_launches += len(stragglers)
                         for state in stragglers:
                             state.speculated = True
@@ -758,7 +730,7 @@ class FleetSupervisor:
                             idle.pop(), [s.spec for s in stragglers], now
                         )
 
-                # 5. Dispatch onto idle workers: a ready retry alone,
+                # 5. Dispatch onto idle workers: a queued retry alone,
                 # else a chunk of pending cells, sized once per pass.
                 idle = [h for h in workers.values() if h.idle and h.alive]
                 if idle:
@@ -766,7 +738,7 @@ class FleetSupervisor:
                         len(pending), sum(h.alive for h in workers.values())
                     )
                     for handle in idle:
-                        chunk = next_chunk(now, size)
+                        chunk = next_chunk(size)
                         if not chunk:
                             break
                         dispatch(handle, chunk, now)

@@ -283,7 +283,7 @@ def _fleet(seed: int, n_cells: int, n_workers: int):
     )
     flat = fleet_summary(
         run_chaos_campaign(
-            chaos, fleet=FleetConfig(n_workers=n_workers, seed=seed)
+            chaos, fleet=FleetConfig(n_workers=n_workers)
         )
     )
     return chaos.duration_s, {
@@ -322,7 +322,7 @@ def _procgen(seed: int, n_cells: int, n_workers: int):
     result = run_procgen_campaign(
         generator_seed=seed,
         n_cells=n_cells,
-        fleet=FleetConfig(n_workers=n_workers, seed=seed),
+        fleet=FleetConfig(n_workers=n_workers),
     )
     flat = procgen_summary(result)
     return 0.0, {

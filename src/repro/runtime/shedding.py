@@ -41,21 +41,22 @@ PIPELINE_TASKS: Tuple[str, ...] = (
     "planning",
 )
 
+#: Tasks skipped on *every* DEGRADED tick (the KCF tracker first: cheap
+#: to drop, and radar tracking covers its role — Sec. IV).
+DEGRADED_SKIP_TASKS: Tuple[str, ...] = ("tracking",)
+
+#: Tasks governed by the DEGRADED detection cadence (the serialized
+#: chain).
+DETECTION_CHAIN: Tuple[str, ...] = ("detection", "tracking")
+
 
 @dataclass(frozen=True)
 class LoadShedPolicy:
     """Which work each degradation mode sheds."""
 
-    #: Tasks skipped on *every* DEGRADED tick (the KCF tracker first:
-    #: cheap to drop, and radar tracking covers its role — Sec. IV).
-    degraded_skip_tasks: Tuple[str, ...] = ("tracking",)
     #: Detection runs on one tick in this many while DEGRADED (cadence
     #: drop); 1 keeps detection at full rate.
     degraded_detection_period: int = 2
-    #: Tasks governed by the detection cadence (the serialized chain).
-    detection_chain: Tuple[str, ...] = ("detection", "tracking")
-    #: Whether REACTIVE_ONLY / SAFE_STOP bypass the pipeline entirely.
-    bypass_when_reactive: bool = True
 
     def __post_init__(self) -> None:
         if self.degraded_detection_period < 1:
@@ -93,13 +94,13 @@ class LoadShedder:
         if mode is DegradationMode.NOMINAL:
             return TickShed()
         if mode is DegradationMode.DEGRADED:
-            skip = set(policy.degraded_skip_tasks)
+            skip = set(DEGRADED_SKIP_TASKS)
             off_cadence = (
                 policy.degraded_detection_period > 1
                 and tick_index % policy.degraded_detection_period != 0
             )
             if off_cadence:
-                skip.update(policy.detection_chain)
+                skip.update(DETECTION_CHAIN)
             return TickShed(
                 skip_tasks=frozenset(skip),
                 reuse_cached_perception=off_cadence,
@@ -107,12 +108,8 @@ class LoadShedder:
         # REACTIVE_ONLY / SAFE_STOP: the supervisor drives; its commands
         # are safety-critical on the wire.
         return TickShed(
-            skip_tasks=(
-                frozenset(PIPELINE_TASKS)
-                if policy.bypass_when_reactive
-                else frozenset()
-            ),
-            bypass_pipeline=policy.bypass_when_reactive,
+            skip_tasks=frozenset(PIPELINE_TASKS),
+            bypass_pipeline=True,
             can_arbitration_id=CanBus.PRIORITY_CRITICAL,
         )
 

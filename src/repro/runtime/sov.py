@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from ..planning.prediction import TrackedObject
 from ..planning.reactive import ReactivePath
 from ..robustness.degradation import (
     DegradationMode,
-    DegradationPolicy,
     DegradationStateMachine,
     HealthInputs,
 )
@@ -54,7 +53,7 @@ from ..vehicle.battery import Battery
 from ..vehicle.dynamics import BicycleModel, ControlCommand, VehicleState
 from .canbus import CanBus
 from .dataflow import SovDataflow, paper_dataflow
-from .shedding import LoadShedder, LoadShedPolicy, TickShed
+from .shedding import LoadShedder, TickShed
 from .telemetry import LatencyStats, OperationsLog
 
 #: Latency of a degradation-supervisor fallback command: the supervisor
@@ -65,15 +64,39 @@ _SUPERVISOR_LATENCY_S = 0.005
 #: How long one observed CAN transmit error keeps the bus flagged lossy.
 _CAN_DEGRADED_HOLD_S = 0.5
 
+#: Reactive-path (radar/sonar) evaluation rate.
+REACTIVE_RATE_HZ = 20.0
+#: Physics sub-step of the closed loop.
+SIM_DT_S = 0.005
+#: Perception reads the world within this range.
+SENSING_RANGE_M = 40.0
+#: Vehicle plus AD power drawn on every sub-step.
+DRIVE_POWER_W = calibration.VEHICLE_POWER_W + calibration.AD_POWER_W
+#: Heartbeat watchdog timeout for on-vehicle modules.
+WATCHDOG_TIMEOUT_S = 0.5
+
 
 @dataclass
 class SovConfig:
-    """Closed-loop simulation parameters."""
+    """What one drive varies: the safety net, perception errors, the
+    computing-latency model, the seed and the fault schedule.
 
-    control_rate_hz: float = calibration.THROUGHPUT_REQUIREMENT_HZ
-    reactive_rate_hz: float = 20.0
-    sim_dt_s: float = 0.005
-    sensing_range_m: float = 40.0
+    The operating point is fixed, as in the paper: the control loop runs
+    at :attr:`control_rate_hz` (10 Hz, Sec. III-A), the reactive path at
+    :data:`REACTIVE_RATE_HZ`, physics in :data:`SIM_DT_S` sub-steps,
+    perception sees :data:`SENSING_RANGE_M` ahead, the vehicle draws
+    :data:`DRIVE_POWER_W`, and the watchdog times modules out after
+    :data:`WATCHDOG_TIMEOUT_S` (restarts use the :class:`HealthMonitor`
+    default MTTR).  The degradation supervisor and the load shedder run
+    their default policies.  Tracing, attribution and metrics are
+    switched on per drive with :meth:`SystemsOnAVehicle.attach_tracer`,
+    :meth:`~SystemsOnAVehicle.enable_attribution` and
+    :meth:`~SystemsOnAVehicle.enable_metrics`.
+    """
+
+    #: The paper's 10 Hz control loop; a class constant, not a field.
+    control_rate_hz: ClassVar[float] = calibration.THROUGHPUT_REQUIREMENT_HZ
+
     reactive_enabled: bool = True
     #: Probability that the vision pipeline misses an entity on a given
     #: control tick (Sec. III-C safety scenario 2: "vision algorithms
@@ -81,38 +104,14 @@ class SovConfig:
     #: path still sees it through radar/sonar.
     vision_miss_prob: float = 0.0
     fixed_computing_latency_s: Optional[float] = None
-    ad_power_w: float = calibration.AD_POWER_W
-    vehicle_power_w: float = calibration.VEHICLE_POWER_W
     seed: int = 0
     #: Declarative fault schedule for this drive (None: inject nothing).
     scenario: Optional[FaultScenario] = None
-    #: Whether the degradation supervisor may shape/replace commands.
-    #: Disabling it (together with ``reactive_enabled=False``) yields the
-    #: unprotected baseline the fault campaign ablates against.
+    #: Whether the degradation supervisor may shape/replace commands and
+    #: shed pipeline work.  Disabling it (together with
+    #: ``reactive_enabled=False``) yields the unprotected baseline the
+    #: fault campaign ablates against.
     degradation_enabled: bool = True
-    degradation_policy: Optional[DegradationPolicy] = None
-    #: Heartbeat watchdog timeout for on-vehicle modules.
-    watchdog_timeout_s: float = 0.5
-    #: Mean time-to-repair for supervised module restarts.
-    mttr_mean_s: float = 0.8
-    #: Whether HealthMonitor verdicts drive load shedding (fault-aware
-    #: scheduling): degraded modes shed pipeline work instead of running
-    #: the full dataflow behind a restart loop.
-    load_shedding_enabled: bool = True
-    #: Which work each degradation mode sheds (None: default policy).
-    shed_policy: Optional[LoadShedPolicy] = None
-    # -- observability (all opt-in: the disabled path allocates nothing,
-    # consumes no randomness, and is bit-identical to the bare loop) ------
-    #: Capture per-frame spans exportable as a Chrome/Perfetto trace.
-    tracing_enabled: bool = False
-    #: Attribute every Eq. 1 deadline miss to its dominant stage/fault.
-    attribution_enabled: bool = False
-    #: Tcomp budget for attribution (None: the paper's worst-case
-    #: avoidance-range budget, ~0.74 s — see observability.attribution).
-    deadline_budget_s: Optional[float] = None
-    #: Publish per-tick latency histograms + operational counters into a
-    #: MetricsRegistry snapshot on the DriveResult.
-    metrics_enabled: bool = False
 
 
 @dataclass
@@ -210,36 +209,23 @@ class SystemsOnAVehicle:
         # -- robustness stack -------------------------------------------------
         self.harness = FaultHarness(self.config.scenario, seed=self.config.seed)
         self.health = HealthMonitor(
-            default_timeout_s=self.config.watchdog_timeout_s,
-            mttr_mean_s=self.config.mttr_mean_s,
-            seed=self.config.seed,
+            default_timeout_s=WATCHDOG_TIMEOUT_S, seed=self.config.seed
         )
         self.health.register("perception")
         self.health.register("planning")
         if self.config.reactive_enabled:
             self.health.register("radar")
-        self.degradation = DegradationStateMachine(
-            self.config.degradation_policy
-        )
-        self.shedder = LoadShedder(self.config.shed_policy)
+        self.degradation = DegradationStateMachine()
+        self.shedder = LoadShedder()
         self._cached_perception: Optional[
             Tuple[List[TrackedObject], List[Obstacle]]
         ] = None
         self._can_drops_seen = 0
         self._can_degraded_until_s = -math.inf
         # -- observability (opt-in; never consumes randomness) ----------------
-        self.tracer: Optional[Tracer] = (
-            Tracer() if self.config.tracing_enabled else None
-        )
-        self.attributor: Optional[DeadlineMissAttributor] = (
-            DeadlineMissAttributor(self.config.deadline_budget_s)
-            if self.config.attribution_enabled
-            else None
-        )
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if self.config.metrics_enabled else None
-        )
-        self.can_bus.tracer = self.tracer
+        self.tracer: Optional[Tracer] = None
+        self.attributor: Optional[DeadlineMissAttributor] = None
+        self.metrics: Optional[MetricsRegistry] = None
 
     def attach_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach (or detach) a span tracer after construction.
@@ -255,13 +241,11 @@ class SystemsOnAVehicle:
     def enable_attribution(self, budget_s: Optional[float] = None) -> None:
         """Turn on deadline-miss attribution after construction.
 
-        *budget_s* overrides the config's budget (None keeps it, which
-        itself defaults to the Eq. 1 worst-case avoidance budget).  Like
-        tracing, attribution is RNG-free and cannot perturb the drive.
+        *budget_s* is the Tcomp budget (None: the Eq. 1 worst-case
+        avoidance budget).  Like tracing, attribution is RNG-free and
+        cannot perturb the drive.
         """
-        self.attributor = DeadlineMissAttributor(
-            budget_s if budget_s is not None else self.config.deadline_budget_s
-        )
+        self.attributor = DeadlineMissAttributor(budget_s)
 
     def enable_metrics(self) -> None:
         """Turn on the metrics registry after construction (RNG-free)."""
@@ -283,7 +267,7 @@ class SystemsOnAVehicle:
         if self.harness.vision_blinded(now_s):
             return objects, obstacles
         for entity in self.world.entities_in_range(
-            self.state.x_m, self.state.y_m, self.config.sensing_range_m
+            self.state.x_m, self.state.y_m, SENSING_RANGE_M
         ):
             if (
                 self.config.vision_miss_prob > 0.0
@@ -346,7 +330,7 @@ class SystemsOnAVehicle:
             f.extra_latency_s
             for f in self.harness.scenario.active("perception_stall", now_s)
         )
-        return stall > self.config.watchdog_timeout_s
+        return stall > WATCHDOG_TIMEOUT_S
 
     # -- control paths ---------------------------------------------------------
 
@@ -409,21 +393,19 @@ class SystemsOnAVehicle:
             self.harness.perception_crashed(now_s)
         )
         shed = TickShed()
-        if cfg.degradation_enabled and cfg.load_shedding_enabled:
+        if cfg.degradation_enabled:
             shed = self.shedder.plan(
                 self.degradation.mode, self.ops.control_ticks
             )
         if cfg.degradation_enabled and not self.degradation.proactive_allowed:
-            # Supervisor drives.  With load shedding the pipeline is
-            # bypassed outright — its tasks are shed, not executed behind
-            # a restart loop — but healthy modules keep heartbeating so
-            # recovery detection still works; without shedding the
-            # pipeline (if alive) runs in shadow.
-            if shed.bypass_pipeline:
-                self.ops.record_sheds(
-                    self.degradation.mode.name, sorted(shed.skip_tasks)
-                )
-                self.shedder.account(self.degradation.mode, shed)
+            # Supervisor drives.  The pipeline is bypassed outright — its
+            # tasks are shed, not executed behind a restart loop — but
+            # healthy modules keep heartbeating so recovery detection
+            # still works.
+            self.ops.record_sheds(
+                self.degradation.mode.name, sorted(shed.skip_tasks)
+            )
+            self.shedder.account(self.degradation.mode, shed)
             if perception_runs and not self._shadow_stalled(now_s):
                 self.health.beat("perception", now_s)
                 self.health.beat("planning", now_s)
@@ -516,7 +498,7 @@ class SystemsOnAVehicle:
         # A heartbeat marks a completed-in-time iteration; an injected
         # stall beyond the watchdog deadline loses it (the stall *is* the
         # missed deadline).  The calibrated latency tail is within spec.
-        if overhead_s <= cfg.watchdog_timeout_s:
+        if overhead_s <= WATCHDOG_TIMEOUT_S:
             self.health.beat("perception", now_s)
             self.health.beat("planning", now_s)
         if cfg.degradation_enabled:
@@ -694,10 +676,9 @@ class DriveLoop:
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         self.sov = sov
-        cfg = sov.config
-        self._dt = cfg.sim_dt_s
-        self._control_period = 1.0 / cfg.control_rate_hz
-        self._reactive_period = 1.0 / cfg.reactive_rate_hz
+        self._dt = SIM_DT_S
+        self._control_period = 1.0 / SovConfig.control_rate_hz
+        self._reactive_period = 1.0 / REACTIVE_RATE_HZ
         self._next_control = 0.0
         self._next_reactive = 0.0
         self.now = 0.0
@@ -747,10 +728,8 @@ class DriveLoop:
         sov.ops.distance_m += math.hypot(
             sov.state.x_m - previous.x_m, sov.state.y_m - previous.y_m
         )
-        sov.ops.energy_j += (
-            cfg.vehicle_power_w + cfg.ad_power_w
-        ) * dt
-        sov.battery.drain(cfg.vehicle_power_w + cfg.ad_power_w, dt)
+        sov.ops.energy_j += DRIVE_POWER_W * dt
+        sov.battery.drain(DRIVE_POWER_W, dt)
         for obstacle in sov.world.obstacles:
             clearance = obstacle.distance_to(sov.state.x_m, sov.state.y_m)
             self._min_clearance = min(self._min_clearance, clearance)

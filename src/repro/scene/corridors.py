@@ -173,16 +173,15 @@ def make_corridor_sov(
     safety_net: bool = True,
     extra_faults: Sequence = (),
     config: Optional[object] = None,
-    **config_overrides,
 ):
     """Wire a scenario into a ready-to-drive :class:`SystemsOnAVehicle`.
 
     ``safety_net=False`` yields the unprotected ablation arm (reactive
     path and degradation supervisor disabled).  *extra_faults* are merged
     with the scenario's built-in fault schedule (the chaos campaign uses
-    this to drive sampled faults down corridor worlds).  Remaining
-    keyword arguments override :class:`~repro.runtime.sov.SovConfig`
-    fields; pass a prebuilt *config* to take full control.
+    this to drive sampled faults down corridor worlds).  Pass a prebuilt
+    :class:`~repro.runtime.sov.SovConfig` as *config* to take full
+    control.
     """
     # Imported lazily: repro.runtime.sov imports repro.scene modules, so
     # a top-level import here would be circular.
@@ -205,7 +204,6 @@ def make_corridor_sov(
             degradation_enabled=safety_net,
             scenario=fault_scenario,
             seed=scenario.seed,
-            **config_overrides,
         )
     return SystemsOnAVehicle(
         world=scenario.world,
@@ -220,7 +218,6 @@ def run_corridor_drive(
     seed: int = 0,
     safety_net: bool = True,
     attribution: bool = True,
-    **config_overrides,
 ):
     """Generate + drive one scenario cell; returns (scenario, DriveResult).
 
@@ -229,7 +226,7 @@ def run_corridor_drive(
     harness relies on both facts.
     """
     scenario = generate_corridor(name, seed)
-    sov = make_corridor_sov(scenario, safety_net=safety_net, **config_overrides)
+    sov = make_corridor_sov(scenario, safety_net=safety_net)
     if attribution:
         sov.enable_attribution()
     result = sov.drive(scenario.duration_s)

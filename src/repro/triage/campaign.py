@@ -22,10 +22,9 @@ triage bench workload run:
    (:mod:`repro.triage.corpus`) and the ``corpus_replay`` sweep verifies
    every record still reproduces bit-identically.
 
-The harvest and the flake protocol run their cells through
-:meth:`~repro.fleetops.supervisor.FleetSupervisor.run` under the
-config's ``fleet``.  Everything but wall-clock timing is deterministic
-per config.
+The harvest and the flake protocol run their cells in process through
+:meth:`~repro.fleetops.supervisor.FleetSupervisor.run`.  Everything but
+wall-clock timing is deterministic per config.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .flakes import FlakeClassification, classify_flakes, label_stats
 from .oracle import DRILL_LANE
 from .shrink import Shrinker, ShrinkResult
 
-#: The default violation-injection fault space: heavy on faults that
+#: The violation-injection fault space: heavy on faults that
 #: blind the proactive path and silence the reactive one, long windows,
 #: double-blind pairs admitted (intensity 2.0 > the 1.75 admission
 #: threshold).  This is the vocabulary violations are *seeded* from —
@@ -63,6 +62,19 @@ INJECTION_SPACE = FaultSpace(
     duration_range_s=(2.0, 5.0),
 )
 
+#: Chaos-arm candidates: composed fault draws per drive, drive length
+#: and the drill lane's obstacle distance.
+CHAOS_DRAWS = 4
+CHAOS_DURATION_S = 6.0
+CHAOS_OBSTACLE_M = 18.0
+#: Procgen-arm candidates: composed fault draws per drive and the
+#: intensity of the generated scenes.
+PROCGEN_DRAWS = 3
+PROCGEN_INTENSITY = 1.5
+#: Per-violation shrink budget (candidate drives); the shrinker keeps
+#: its default 0.5-s time resolution.
+SHRINK_MAX_EVALUATIONS = 300
+
 
 @dataclass(frozen=True)
 class TriageCampaignConfig:
@@ -71,24 +83,10 @@ class TriageCampaignConfig:
     seed: int = 0
     #: Chaos-arm candidates (unprotected drill lane).
     n_chaos: int = 12
-    chaos_draws: int = 4
-    chaos_duration_s: float = 6.0
-    chaos_obstacle_m: float = 18.0
     #: Procgen-arm candidates (unprotected generated scenes).
     n_procgen: int = 10
-    procgen_draws: int = 3
-    procgen_intensity: float = 1.5
-    injection_space: FaultSpace = field(
-        default_factory=lambda: INJECTION_SPACE
-    )
     #: Flake-protocol replicas per unique failure.
     n_replicas: int = 4
-    #: Per-violation shrink budget (candidate drives).
-    shrink_max_evaluations: int = 300
-    time_resolution_s: float = 0.5
-    #: FleetConfig for the harvest and the flake protocol (None: in
-    #: process; the results are the same).
-    fleet: Optional["object"] = None
 
     def __post_init__(self) -> None:
         if self.n_chaos < 0 or self.n_procgen < 0:
@@ -182,7 +180,6 @@ def harvest_candidates(config: TriageCampaignConfig) -> List["object"]:
     from ..fleetops.cells import TriageCell
     from ..scene.procgen import DEFAULT_SPACE
 
-    space = config.injection_space
     candidates: List[TriageCell] = []
     for i in range(config.n_chaos):
         candidates.append(
@@ -190,16 +187,16 @@ def harvest_candidates(config: TriageCampaignConfig) -> List["object"]:
                 scene=DRILL_LANE,
                 scene_seed=config.seed,
                 sim_seed=drive_seed(config.seed, i),
-                faults=space.sample_schedule(
-                    config.seed, i, config.chaos_draws
+                faults=INJECTION_SPACE.sample_schedule(
+                    config.seed, i, CHAOS_DRAWS
                 ),
                 safety_net=False,
-                duration_s=config.chaos_duration_s,
-                obstacle_distance_m=config.chaos_obstacle_m,
+                duration_s=CHAOS_DURATION_S,
+                obstacle_distance_m=CHAOS_OBSTACLE_M,
                 invariant="no_collision_or_safe_stop",
             )
         )
-    pspace = DEFAULT_SPACE.with_intensity(config.procgen_intensity)
+    pspace = DEFAULT_SPACE.with_intensity(PROCGEN_INTENSITY)
     for idx in range(config.n_procgen):
         scene = pspace.sample(config.seed, idx)
         candidates.append(
@@ -207,8 +204,8 @@ def harvest_candidates(config: TriageCampaignConfig) -> List["object"]:
                 scene=f"procgen:{scene.topology}",
                 scene_seed=config.seed,
                 sim_seed=scene.seed,
-                faults=space.sample_schedule(
-                    config.seed, 1_000_000 + idx, config.procgen_draws
+                faults=INJECTION_SPACE.sample_schedule(
+                    config.seed, 1_000_000 + idx, PROCGEN_DRAWS
                 ),
                 safety_net=False,
                 space=pspace,
@@ -234,7 +231,7 @@ def run_triage_campaign(
     # 1. Harvest: run every candidate, keep the violators.
     candidates = harvest_candidates(config)
     result.n_candidates = len(candidates)
-    harvest = FleetSupervisor(config.fleet).run(
+    harvest = FleetSupervisor().run(
         CellSpec(kind="triage", index=i, cell=cell)
         for i, cell in enumerate(candidates)
     )
@@ -245,10 +242,7 @@ def run_triage_campaign(
 
     # 2. Shrink each violation (fresh shrinker per cell: deterministic).
     for cell, _outcome in result.violations:
-        shrinker = Shrinker(
-            time_resolution_s=config.time_resolution_s,
-            max_evaluations=config.shrink_max_evaluations,
-        )
+        shrinker = Shrinker(max_evaluations=SHRINK_MAX_EVALUATIONS)
         shrink = shrinker.shrink(cell)
         result.shrinks.append(shrink)
         result.shrink_evaluations += shrink.evaluations
@@ -270,7 +264,6 @@ def run_triage_campaign(
         result.classifications = classify_flakes(
             [shrink.minimized for _fp, shrink in unique],
             n_replicas=config.n_replicas,
-            fleet=config.fleet,
         )
 
     # 5. File each unique failure in the corpus.

@@ -78,9 +78,7 @@ def record_path(directory: str, record: CorpusRecord) -> str:
     return os.path.join(directory, record_filename(record.fingerprint))
 
 
-def save_record(
-    directory: str, record: CorpusRecord, fsync: bool = True
-) -> str:
+def save_record(directory: str, record: CorpusRecord) -> str:
     """Atomically write *record* into *directory*; returns the path.
 
     Write-to-temp then ``os.replace`` — a reader (or a crash) sees
@@ -105,8 +103,7 @@ def save_record(
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(sealed, handle, sort_keys=True, separators=(",", ":"))
         handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
     return path
 
