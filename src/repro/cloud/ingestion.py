@@ -518,9 +518,21 @@ class TelemetrySession:
 # ---------------------------------------------------------------------------
 
 
+#: A campaign's submissions spread over this window (virtual seconds).
+SUBMIT_WINDOW_S = 300.0
+#: Extra virtual time past the last submission *and* the last fault
+#: window, so partitions end and the spool drains before the session
+#: deadline.
+DRAIN_MARGIN_S = 900.0
+
+
 @dataclass(frozen=True)
 class IngestCampaignConfig:
-    """One seeded fleet-delivery campaign under a network fault mix."""
+    """One seeded fleet-delivery campaign under a network fault mix.
+
+    Submissions spread over :data:`SUBMIT_WINDOW_S`, and each session
+    runs :data:`DRAIN_MARGIN_S` past its last submission and fault.
+    """
 
     n_vehicles: int = 6
     #: Hourly realtime ops logs per vehicle (the guaranteed class).
@@ -529,12 +541,6 @@ class IngestCampaignConfig:
     metrics_per_vehicle: int = 10
     seed: int = 0
     space: NetworkFaultSpace = field(default_factory=NetworkFaultSpace)
-    #: Submissions spread over this window (seconds of virtual time).
-    submit_window_s: float = 300.0
-    #: Extra virtual time past the last submission *and* the last fault
-    #: window, so partitions end and the spool drains before the session
-    #: deadline.
-    drain_margin_s: float = 900.0
 
     def __post_init__(self) -> None:
         if self.n_vehicles < 1:
@@ -692,7 +698,7 @@ def run_ingest_campaign(
         submit_times = np.sort(
             sched_rng.uniform(
                 0.0,
-                config.submit_window_s,
+                SUBMIT_WINDOW_S,
                 config.logs_per_vehicle + config.metrics_per_vehicle,
             )
         )
@@ -706,8 +712,8 @@ def run_ingest_campaign(
                 )
                 session.schedule_submission(payload, METRICS, float(at_s))
         until_s = (
-            max(config.submit_window_s, profile.last_window_end_s)
-            + config.drain_margin_s
+            max(SUBMIT_WINDOW_S, profile.last_window_end_s)
+            + DRAIN_MARGIN_S
         )
         report = session.run(until_s)
         sim_span_s = max(sim_span_s, session.now_s)

@@ -248,12 +248,22 @@ class FaultScenario:
         if not self.name:
             raise ValueError("scenario needs a name")
         object.__setattr__(self, "faults", tuple(self.faults))
+        # The schedule's faults by kind, in schedule order: the loop asks
+        # for one kind at a time, many times per simulated second.
+        by_kind: Dict[str, List[Fault]] = {}
+        for fault in self.faults:
+            by_kind.setdefault(fault.kind, []).append(fault)
+        object.__setattr__(
+            self, "_by_kind", {k: tuple(v) for k, v in by_kind.items()}
+        )
 
     def of_kind(self, kind: str) -> List[Fault]:
-        return [f for f in self.faults if f.kind == kind]
+        return list(self._by_kind.get(kind, ()))
 
     def active(self, kind: str, now_s: float) -> List[Fault]:
-        return [f for f in self.of_kind(kind) if f.window.active(now_s)]
+        return [
+            f for f in self._by_kind.get(kind, ()) if f.window.active(now_s)
+        ]
 
     @property
     def kinds(self) -> List[str]:

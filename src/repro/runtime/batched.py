@@ -351,9 +351,11 @@ def _solve_group(entries: List[_Entry]) -> None:
 class BatchedStepper:
     """Lockstep driver for N concurrent drives.
 
-    ``run()`` interleaves every drive's simulation steps, collecting the
-    control ticks that need planning each round and answering them with
-    one :func:`plan_requests` call.  Finished drives retire with their
+    ``run()`` makes one round per control period: it opens every active
+    drive's control tick, answers the ticks that need planning with one
+    :func:`plan_requests` call, then runs each drive's physics sub-steps
+    up to its next tick (``finish_step`` then ``finish_period``).
+    Finished drives retire with their
     :class:`~repro.runtime.sov.DriveResult`; the rest keep stepping, so
     heterogeneous durations waste no work.
     """
@@ -393,9 +395,11 @@ class BatchedStepper:
                     loops[i].sov._proactive_post(request, command)
             still_active = []
             for i in active:
-                loops[i].finish_step()
-                if loops[i].done:
-                    results[i] = loops[i].finalize()
+                loop = loops[i]
+                loop.finish_step()
+                loop.finish_period()
+                if loop.done:
+                    results[i] = loop.finalize()
                 else:
                     still_active.append(i)
             active = still_active

@@ -11,12 +11,12 @@ reports per-frame end-to-end latency (which pipelining does *not* reduce)
 and sustained throughput (which it does).
 
 Fault-aware scheduling: ``run`` optionally takes a degradation-mode
-schedule and a :class:`~repro.runtime.shedding.LoadShedPolicy`; frames
-processed in a degraded mode shed tasks (KCF tracking, detection cadence,
-or the whole pipeline) exactly as the closed-loop SoV does, so the
-executor can quantify what shedding buys: a shed frame is never slower
-than its un-shed twin because the latency samples are identical and
-shedding only zeroes terms.
+schedule; frames processed in a degraded mode shed tasks (KCF tracking,
+detection cadence, or the whole pipeline) under the default
+:class:`~repro.runtime.shedding.LoadShedder` policy, exactly as the
+closed-loop SoV does, so the executor can quantify what shedding buys:
+a shed frame is never slower than its un-shed twin because the latency
+samples are identical and shedding only zeroes terms.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from ..core import calibration
 from ..robustness.degradation import DegradationMode
 from .dataflow import SovDataflow, paper_dataflow
-from .shedding import LoadShedder, LoadShedPolicy
+from .shedding import LoadShedder
 from .telemetry import LatencyStats
 
 
@@ -97,16 +97,16 @@ class PipelinedExecutor:
         self,
         n_frames: int,
         mode_schedule: Optional[Callable[[int], DegradationMode]] = None,
-        shed_policy: Optional[LoadShedPolicy] = None,
         tracer=None,
     ) -> PipelineReport:
         """Replay *n_frames* through the pipeline.
 
         *mode_schedule* maps a frame index to the degradation mode the
         vehicle held when that frame arrived; frames in degraded modes
-        shed work per *shed_policy* (fault-aware scheduling).  With no
-        schedule every frame runs NOMINAL and the behaviour — including
-        the RNG stream — is identical to the unscheduled executor.
+        shed work per the default :class:`LoadShedder` policy
+        (fault-aware scheduling).  With no schedule every frame runs
+        NOMINAL and the behaviour — including the RNG stream — is
+        identical to the unscheduled executor.
 
         A :class:`~repro.observability.tracing.Tracer` passed as *tracer*
         records one span per (frame, stage) on ``pipe:<stage>`` tracks —
@@ -116,7 +116,7 @@ class PipelinedExecutor:
         """
         if n_frames <= 0:
             raise ValueError("need at least one frame")
-        shedder = LoadShedder(shed_policy)
+        shedder = LoadShedder()
         stages = SovDataflow.STAGES
         stats = LatencyStats()
         timings: List[FrameTiming] = []

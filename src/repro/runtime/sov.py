@@ -75,6 +75,9 @@ DRIVE_POWER_W = calibration.VEHICLE_POWER_W + calibration.AD_POWER_W
 #: Heartbeat watchdog timeout for on-vehicle modules.
 WATCHDOG_TIMEOUT_S = 0.5
 
+#: What the actuator executes while the ECU holds no command.
+_IDLE_COMMAND = ControlCommand()
+
 
 @dataclass
 class SovConfig:
@@ -205,6 +208,7 @@ class SystemsOnAVehicle:
         self._rng = np.random.default_rng(self.config.seed)
         self.latency = LatencyStats()
         self.ops = OperationsLog()
+        #: Commands on their way to the ECU, sorted by ``apply_at_s``.
         self._pending: List[_PendingCommand] = []
         # -- robustness stack -------------------------------------------------
         self.harness = FaultHarness(self.config.scenario, seed=self.config.seed)
@@ -370,12 +374,18 @@ class SystemsOnAVehicle:
                 steer_rad=command.steer_rad,
                 accel_mps2=command.accel_mps2,
             )
-        self._pending.append(
-            _PendingCommand(
-                apply_at_s=apply_at_s,
-                command=command,
-            )
-        )
+        self._queue_command(apply_at_s, command)
+
+    def _queue_command(
+        self, apply_at_s: float, command: ControlCommand
+    ) -> None:
+        """Queue *command* for the ECU, after every queued command due no
+        later, so commands due together arrive in the order sent."""
+        pending = self._pending
+        i = len(pending)
+        while i and pending[i - 1].apply_at_s > apply_at_s:
+            i -= 1
+        pending.insert(i, _PendingCommand(apply_at_s, command))
 
     def _proactive_pre(self, now_s: float) -> Optional[PlanRequest]:
         """Everything before the planner call; None when no plan is needed
@@ -630,12 +640,7 @@ class SystemsOnAVehicle:
                     apply_at_s,
                     triggered=decision.triggered,
                 )
-            self._pending.append(
-                _PendingCommand(
-                    apply_at_s=apply_at_s,
-                    command=decision.command,
-                )
-            )
+            self._queue_command(apply_at_s, decision.command)
             if decision.triggered:
                 self.ops.reactive_overrides += 1
             elif decision.held:
@@ -657,6 +662,7 @@ class SystemsOnAVehicle:
                 )
                 self._proactive_post(request, plan.command)
             loop.finish_step()
+            loop.finish_period()
         return loop.finalize()
 
 
@@ -669,7 +675,9 @@ class DriveLoop:
     :class:`PlanRequest` (if any) from a vectorized planning round.  The
     step decomposition is exactly the body of the original monolithic
     loop, so interleaving *between* drives cannot change any single
-    drive's arithmetic.
+    drive's arithmetic.  Both callers make one round per control
+    period: ``begin_step``, the plan, ``finish_step``, then
+    ``finish_period`` for the period's remaining physics sub-steps.
     """
 
     def __init__(self, sov: SystemsOnAVehicle, duration_s: float) -> None:
@@ -684,6 +692,15 @@ class DriveLoop:
         self.now = 0.0
         self._min_clearance = float("inf")
         self._steps_left = int(round(duration_s / self._dt))
+        # Fixed for the whole drive: nothing moves an obstacle, the power
+        # draw is constant, and the fault schedule is set.
+        self._obstacles = [
+            (o.x_m, o.y_m, o.radius_m) for o in sov.world.obstacles
+        ]
+        self._step_energy_j = DRIVE_POWER_W * self._dt
+        self._steering_bias = bool(
+            sov.harness.scenario.of_kind("steering_bias")
+        )
 
     @property
     def done(self) -> bool:
@@ -707,13 +724,13 @@ class DriveLoop:
         if cfg.reactive_enabled and now >= self._next_reactive:
             sov._reactive_tick(now)
             self._next_reactive += self._reactive_period
-        # Deliver commands whose actuation time has come.
-        due = [p for p in sov._pending if p.apply_at_s <= now]
-        sov._pending = [p for p in sov._pending if p.apply_at_s > now]
-        for pending in sorted(due, key=lambda p: p.apply_at_s):
-            sov.ecu.receive(pending.command)
-        command = sov.ecu.active_command(now) or ControlCommand()
-        if sov.harness.scenario.faults:
+        # Deliver commands whose actuation time has come: the queue is
+        # sorted, so they are its head, in the order they must arrive.
+        pending = sov._pending
+        while pending and pending[0].apply_at_s <= now:
+            sov.ecu.receive(pending.pop(0).command)
+        command = sov.ecu.active_command(now) or _IDLE_COMMAND
+        if self._steering_bias:
             # An actuator-level steering bias (Sec. III-C lateral
             # fault) corrupts the command *after* the ECU: neither the
             # planner nor the reactive path sees it coming.
@@ -722,21 +739,32 @@ class DriveLoop:
                 command = replace(
                     command, steer_rad=command.steer_rad + bias
                 )
+        ops = sov.ops
         previous = sov.state
-        sov.state = sov.model.step(sov.state, command, dt)
+        state = sov.model.step(previous, command, dt)
+        sov.state = state
         sov.world.advance(dt)
-        sov.ops.distance_m += math.hypot(
-            sov.state.x_m - previous.x_m, sov.state.y_m - previous.y_m
-        )
-        sov.ops.energy_j += DRIVE_POWER_W * dt
+        x, y = state.x_m, state.y_m
+        ops.distance_m += math.hypot(x - previous.x_m, y - previous.y_m)
+        ops.energy_j += self._step_energy_j
         sov.battery.drain(DRIVE_POWER_W, dt)
-        for obstacle in sov.world.obstacles:
-            clearance = obstacle.distance_to(sov.state.x_m, sov.state.y_m)
-            self._min_clearance = min(self._min_clearance, clearance)
+        min_clearance = self._min_clearance
+        for obstacle_x, obstacle_y, radius in self._obstacles:
+            clearance = math.hypot(obstacle_x - x, obstacle_y - y) - radius
+            if clearance < min_clearance:
+                min_clearance = clearance
             if clearance <= 0.0:
-                sov.ops.collisions += 1
+                ops.collisions += 1
+        self._min_clearance = min_clearance
         self.now = now + dt
         self._steps_left -= 1
+
+    def finish_period(self) -> None:
+        """Run :meth:`finish_step` until the next control tick is due or
+        the drive ends: the sub-steps on which :meth:`begin_step` has
+        nothing to do."""
+        while self._steps_left > 0 and self.now < self._next_control:
+            self.finish_step()
 
     def finalize(self) -> DriveResult:
         """Flush end-of-drive state and assemble the :class:`DriveResult`."""

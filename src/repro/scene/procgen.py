@@ -217,12 +217,14 @@ class ScriptedWorld(World):
                 dx, dy = script.displacement(t0, t1)
                 vx, vy = script.velocity_at(t1)
                 moved.append(
-                    replace(
-                        agent,
+                    Agent(
+                        agent_id=agent.agent_id,
                         x_m=agent.x_m + dx,
                         y_m=agent.y_m + dy,
                         vx_mps=vx,
                         vy_mps=vy,
+                        radius_m=agent.radius_m,
+                        kind=agent.kind,
                     )
                 )
         self.agents = moved

@@ -11,7 +11,7 @@ and the closed-loop SoV — observes or acts on a :class:`World`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,8 +56,16 @@ class Agent:
         return (self.x_m + self.vx_mps * dt_s, self.y_m + self.vy_mps * dt_s)
 
     def advanced(self, dt_s: float) -> "Agent":
-        x, y = self.position_at(dt_s)
-        return replace(self, x_m=x, y_m=y)
+        """This agent moved on by *dt_s* (:meth:`position_at`'s law)."""
+        return Agent(
+            agent_id=self.agent_id,
+            x_m=self.x_m + self.vx_mps * dt_s,
+            y_m=self.y_m + self.vy_mps * dt_s,
+            vx_mps=self.vx_mps,
+            vy_mps=self.vy_mps,
+            radius_m=self.radius_m,
+            kind=self.kind,
+        )
 
     @property
     def speed_mps(self) -> float:

@@ -72,7 +72,16 @@ class BicycleModel:
             raise ValueError("limits must be positive")
 
     def clamp(self, command: ControlCommand) -> ControlCommand:
-        """Clamp a command to the vehicle's actuation limits."""
+        """Clamp a command to the vehicle's actuation limits.
+
+        A command strictly inside both limits is returned as it is: the
+        clamping expressions would give back its own two values.
+        """
+        if (
+            -self.max_steer_rad < command.steer_rad < self.max_steer_rad
+            and -self.max_decel_mps2 < command.accel_mps2 < self.max_accel_mps2
+        ):
+            return command
         steer = max(-self.max_steer_rad, min(self.max_steer_rad, command.steer_rad))
         accel = max(-self.max_decel_mps2, min(self.max_accel_mps2, command.accel_mps2))
         return replace(command, steer_rad=steer, accel_mps2=accel)
@@ -87,13 +96,15 @@ class BicycleModel:
         """
         if dt_s < 0:
             raise ValueError("dt must be non-negative")
-        command = self.clamp(command)
-        speed = state.speed_mps + command.accel_mps2 * dt_s
+        # clamp()'s expressions on the two floats, with no command built.
+        steer = max(-self.max_steer_rad, min(self.max_steer_rad, command.steer_rad))
+        accel = max(-self.max_decel_mps2, min(self.max_accel_mps2, command.accel_mps2))
+        speed = state.speed_mps + accel * dt_s
         speed = max(0.0, min(self.max_speed_mps, speed))
         # Integrate with the mean of old/new speed for second-order accuracy.
         avg_speed = 0.5 * (state.speed_mps + speed)
         heading = state.heading_rad + (
-            avg_speed / self.wheelbase_m * math.tan(command.steer_rad) * dt_s
+            avg_speed / self.wheelbase_m * math.tan(steer) * dt_s
         )
         x = state.x_m + avg_speed * math.cos(state.heading_rad) * dt_s
         y = state.y_m + avg_speed * math.sin(state.heading_rad) * dt_s

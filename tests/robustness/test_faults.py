@@ -1,9 +1,11 @@
 """Tests for the fault vocabulary and the runtime fault harness."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.robustness.faults import (
     EMPTY_SCENARIO,
@@ -19,6 +21,7 @@ from repro.robustness.faults import (
     SensorDropoutFault,
     SensorFreezeFault,
     SensorStuckValueFault,
+    SteeringBiasFault,
 )
 from repro.runtime.canbus import CanBus
 from repro.runtime.sensor_hub import FpgaSensorHub
@@ -74,6 +77,34 @@ class TestFaultValidation:
             LatencySpikeFault(-0.1, 0.5, FaultWindow(0.0))
 
 
+#: Window edges and query times on one grid, so queries land exactly on
+#: starts and ends.
+_TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+_WINDOWS = st.tuples(_TIMES, _TIMES).filter(lambda w: w[0] < w[1]).map(
+    lambda w: FaultWindow(*w)
+) | _TIMES.map(FaultWindow)
+_BUILDERS = (
+    lambda w: SensorDropoutFault("radar", w),
+    lambda w: CanBusFault(w, loss_prob=0.5),
+    lambda w: PerceptionStallFault(0.3, w),
+    lambda w: SteeringBiasFault(-0.05, w),
+    lambda w: GpsDenialFault(w),
+)
+#: Every kind the schedules draw, and one they never hold.
+_KINDS = (
+    "sensor_dropout",
+    "can_bus",
+    "perception_stall",
+    "steering_bias",
+    "gps_denial",
+    "latency_spike",
+)
+_SCHEDULES = st.lists(
+    st.tuples(st.sampled_from(_BUILDERS), _WINDOWS).map(lambda p: p[0](p[1])),
+    max_size=8,
+)
+
+
 class TestFaultScenario:
     def test_queries_by_kind_and_time(self):
         scenario = FaultScenario(
@@ -92,6 +123,40 @@ class TestFaultScenario:
     def test_requires_a_name(self):
         with pytest.raises(ValueError):
             FaultScenario(name="")
+
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=_SCHEDULES, times=st.lists(_TIMES, max_size=12))
+    def test_index_answers_as_the_schedule_filter(self, schedule, times):
+        scenario = FaultScenario(name="drawn", faults=tuple(schedule))
+        for kind in _KINDS:
+            assert scenario.of_kind(kind) == [
+                f for f in scenario.faults if f.kind == kind
+            ]
+            for now_s in times:
+                assert scenario.active(kind, now_s) == [
+                    f
+                    for f in scenario.faults
+                    if f.kind == kind and f.window.active(now_s)
+                ]
+
+    def test_index_survives_pickle_and_subset(self):
+        # Pool workers receive their cells, fault schedules included,
+        # pickled.
+        scenario = FaultScenario(
+            name="mix",
+            faults=(
+                CanBusFault(FaultWindow(0.5, 1.5), loss_prob=0.5),
+                SteeringBiasFault(0.1, FaultWindow(1.0, 2.0)),
+                CanBusFault(FaultWindow(1.0, 3.0), extra_delay_s=0.004),
+            ),
+        )
+        copy = pickle.loads(pickle.dumps(scenario))
+        assert copy == scenario
+        assert copy.active("can_bus", 1.2) == list(scenario.faults[::2])
+        assert copy.of_kind("steering_bias") == [scenario.faults[1]]
+        subset = scenario.subset([2])
+        assert subset.active("can_bus", 1.2) == [scenario.faults[2]]
+        assert subset.of_kind("steering_bias") == []
 
     def test_empty_scenario_injects_nothing(self):
         harness = FaultHarness(EMPTY_SCENARIO)

@@ -1,5 +1,6 @@
 """Tests for the kinematic bicycle model and Eq. 1 cross-validation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -66,6 +67,78 @@ class TestStep:
         s = VehicleState(x_m=1.0, y_m=2.0, speed_mps=3.0)
         s2 = model.step(s, ControlCommand(), 0.0)
         assert (s2.x_m, s2.y_m, s2.speed_mps) == (1.0, 2.0, 3.0)
+
+
+#: The default pod, and one whose steer and accel limits are zero (the
+#: signed-zero edge: clamping -0.0 to a 0.0 limit gives +0.0).
+_MODELS = (BicycleModel(), BicycleModel(max_steer_rad=0.0, max_accel_mps2=0.0))
+
+
+def _edges(*limits):
+    values = [0.0, -0.0, math.inf, -math.inf]
+    for limit in limits:
+        for v in (limit, -limit):
+            values += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+    return values
+
+
+#: Commands at, beside and beyond every limit of both models, and between.
+_COMMAND_VALUES = st.one_of(
+    st.sampled_from(_edges(0.5, 4.0, 2.0, 0.0)),
+    st.floats(-20.0, 20.0),
+)
+
+
+def _bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+class TestClampExactness:
+    """``step`` clamps steer and accel as two floats, with ``clamp``'s own
+    expressions; ``clamp`` hands back a command already inside the limits."""
+
+    def test_command_inside_the_limits_is_returned_as_is(self, model):
+        command = ControlCommand(
+            steer_rad=0.2, accel_mps2=-1.0, timestamp_s=3.0, source="reactive"
+        )
+        assert model.clamp(command) is command
+
+    def test_command_on_or_past_a_limit_is_clamped(self, model):
+        command = ControlCommand(steer_rad=9.0, accel_mps2=model.max_accel_mps2)
+        clamped = model.clamp(command)
+        assert clamped is not command
+        assert (clamped.steer_rad, clamped.accel_mps2) == (
+            model.max_steer_rad,
+            model.max_accel_mps2,
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.sampled_from(_MODELS),
+        steer=_COMMAND_VALUES,
+        accel=_COMMAND_VALUES,
+        speed=st.floats(0.0, 9.0),
+        heading=st.floats(-math.pi, math.pi),
+        dt=st.sampled_from([0.0, 0.005, 0.1]),
+    )
+    def test_step_of_a_command_equals_step_of_its_clamp_bit_for_bit(
+        self, model, steer, accel, speed, heading, dt
+    ):
+        command = ControlCommand(steer_rad=steer, accel_mps2=accel)
+        clamped = model.clamp(command)
+        steer_limit, decel, accel_limit = (
+            model.max_steer_rad, model.max_decel_mps2, model.max_accel_mps2
+        )
+        assert _bits(clamped.steer_rad, clamped.accel_mps2) == _bits(
+            max(-steer_limit, min(steer_limit, steer)),
+            max(-decel, min(accel_limit, accel)),
+        )
+        state = VehicleState(
+            x_m=1.5, y_m=-2.0, heading_rad=heading, speed_mps=speed, time_s=4.0
+        )
+        assert _bits(*dataclasses.astuple(model.step(state, command, dt))) == (
+            _bits(*dataclasses.astuple(model.step(state, clamped, dt)))
+        )
 
 
 class TestBraking:
