@@ -351,16 +351,6 @@ class ClientReport:
         return out
 
 
-@dataclass
-class _InFlight:
-    """One attempt awaiting its ack."""
-
-    envelope: UplinkEnvelope
-    attempt: int
-    sent_s: float
-    deadline_s: float
-
-
 class ResilientUplinkClient:
     """The vehicle's end of the telemetry pipeline.
 
@@ -417,15 +407,6 @@ class ResilientUplinkClient:
         self.queue.push(envelope)
         self.report.shed_by_class = dict(self.queue.shed_by_class)
         return envelope
-
-    def submit_condensed_log(self, ops, latency, hour_index: int, now_s: float):
-        """Condense one hour of telemetry and submit it as realtime ops."""
-        from .compression import condense_log
-
-        log = condense_log(
-            ops, latency, vehicle_id=self.vehicle_id, hour_index=hour_index
-        )
-        return self.submit(log.payload, REALTIME_OPS, now_s)
 
     # -- retry bookkeeping -----------------------------------------------------
 

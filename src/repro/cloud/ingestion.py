@@ -247,9 +247,6 @@ class IngestionService:
 
     # -- queries ---------------------------------------------------------------
 
-    def stored_logs(self, vehicle_id: str) -> Tuple[StoredLog, ...]:
-        return tuple(self._store.get(vehicle_id, []))
-
     def stored_keys(self, log_class: Optional[str] = None) -> Tuple[str, ...]:
         keys = []
         for vehicle in sorted(self._store):

@@ -34,7 +34,7 @@ import os
 import pickle
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .cells import CellResult, CellSpec
 
@@ -100,9 +100,6 @@ class JournalState:
         if self.header is None:
             return None
         return self.header.get("campaign")
-
-    def completed_ids(self) -> List[str]:
-        return list(self.results)
 
 
 class CampaignJournal:

@@ -11,7 +11,7 @@ argue the design.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core import calibration
 from ..core.calibration import TaskPlatformProfile, task_profile
@@ -49,13 +49,6 @@ class Platform:
         if self.copy_overhead_s > 0:
             energy += self.copy_overhead_s * (profile.power_w + self.copy_overhead_w)
         return energy
-
-    def perception_total_latency_s(
-        self, tasks: Iterable[str] = PERCEPTION_TASKS
-    ) -> float:
-        """Cumulative (serialized) latency across tasks — Sec. V-A's
-        "cumulative latency of 844.2 ms for perception alone" metric."""
-        return sum(self.task_latency_s(t) for t in tasks)
 
 
 def cpu_platform() -> Platform:

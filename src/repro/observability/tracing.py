@@ -130,10 +130,6 @@ class Tracer:
         self._current_frame = frame
         return frame
 
-    @property
-    def current_frame(self) -> Optional[FrameTrace]:
-        return self._current_frame
-
     def record(
         self,
         name: str,

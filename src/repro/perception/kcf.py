@@ -159,7 +159,6 @@ class KcfTracker:
             _gaussian_correlation(zf, self._template_f, self.kernel_sigma)
         )
         response = np.real(np.fft.ifft2(self._alphaf * kf))
-        self._last_peak = float(response.max())
         peak = np.unravel_index(int(np.argmax(response)), response.shape)
         dy, dx = peak[0], peak[1]
         # Displacements beyond half the patch wrap around (circular shift).
@@ -175,8 +174,3 @@ class KcfTracker:
         )
         self._train(self._extract_patch(frame, self._box), self.learning_rate)
         return self._box
-
-    @property
-    def peak_response(self) -> float:
-        """Confidence proxy: last response peak (for fallback decisions)."""
-        return getattr(self, "_last_peak", 0.0)

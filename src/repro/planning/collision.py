@@ -17,6 +17,13 @@ from typing import List, Optional, Sequence, Tuple
 from ..scene.world import Obstacle, World
 from .prediction import PredictedState
 
+#: Ego body radius: the disc every clearance is measured from.
+EGO_RADIUS_M = 0.8
+#: Clearance below which a trajectory point collides.
+SAFETY_MARGIN_M = 0.3
+#: A prediction is compared with the trajectory point within this time.
+TIME_TOLERANCE_S = 0.06
+
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
@@ -42,15 +49,15 @@ def check_trajectory(
     trajectory: Sequence[TrajectoryPoint],
     predictions: Sequence[PredictedState],
     static_obstacles: Sequence[Obstacle] = (),
-    ego_radius_m: float = 0.8,
-    safety_margin_m: float = 0.3,
-    time_tolerance_s: float = 0.06,
+    ego_radius_m: float = EGO_RADIUS_M,
 ) -> CollisionReport:
     """Check an ego trajectory against moving predictions and static
     obstacles.
 
     Moving objects are compared only at matching horizon instants (within
-    ``time_tolerance_s``); static obstacles are checked at every point.
+    :data:`TIME_TOLERANCE_S`); static obstacles are checked at every
+    point.  A point collides when its clearance is under
+    :data:`SAFETY_MARGIN_M`.
     """
     if ego_radius_m <= 0:
         raise ValueError("ego radius must be positive")
@@ -63,7 +70,7 @@ def check_trajectory(
                 - ego_radius_m
             )
             min_clearance = min(min_clearance, clearance)
-            if clearance < safety_margin_m:
+            if clearance < SAFETY_MARGIN_M:
                 return CollisionReport(
                     collides=True,
                     first_collision_time_s=point.time_s,
@@ -71,7 +78,7 @@ def check_trajectory(
                     min_clearance_m=min_clearance,
                 )
         for pred in predictions:
-            if abs(pred.time_s - point.time_s) > time_tolerance_s:
+            if abs(pred.time_s - point.time_s) > TIME_TOLERANCE_S:
                 continue
             clearance = (
                 math.hypot(point.x_m - pred.x_m, point.y_m - pred.y_m)
@@ -79,7 +86,7 @@ def check_trajectory(
                 - ego_radius_m
             )
             min_clearance = min(min_clearance, clearance)
-            if clearance < safety_margin_m:
+            if clearance < SAFETY_MARGIN_M:
                 return CollisionReport(
                     collides=True,
                     first_collision_time_s=point.time_s,
@@ -93,7 +100,7 @@ def lane_clearance_at(
     world: World,
     lane_map,
     s_m: float,
-    ego_radius_m: float = 0.8,
+    ego_radius_m: float = EGO_RADIUS_M,
 ) -> float:
     """Best static clearance over all lanes at corridor station *s_m*.
 
@@ -116,27 +123,29 @@ def lane_clearance_at(
     return best
 
 
+#: Station stride of :func:`corridor_blocked_at`.
+_CORRIDOR_STEP_M = 0.5
+
+
 def corridor_blocked_at(
     world: World,
     lane_map,
     length_m: float,
-    ego_radius_m: float = 0.8,
-    safety_margin_m: float = 0.3,
-    step_m: float = 0.5,
+    ego_radius_m: float = EGO_RADIUS_M,
 ) -> Optional[float]:
     """First corridor station where *every* lane is obstructed.
 
-    Walks the corridor in *step_m* strides; a station is blocked when no
-    lane offers ``safety_margin_m`` of clearance there (same ego radius
-    and margin the trajectory checker uses).  Returns the arc-length of
-    the first blocked station, or None when the corridor is traversable
-    end to end — the scenario generator's drivability certificate.
+    Walks the corridor in :data:`_CORRIDOR_STEP_M` strides; a station is
+    blocked when no lane offers :data:`SAFETY_MARGIN_M` of clearance
+    there (the margin the trajectory checker uses).  Returns the
+    arc-length of the first blocked station, or None when the corridor
+    is traversable end to end — the scenario generator's drivability
+    certificate.
     """
-    if step_m <= 0:
-        raise ValueError("step must be positive")
-    n_steps = max(1, int(math.ceil(length_m / step_m)))
+    n_steps = max(1, int(math.ceil(length_m / _CORRIDOR_STEP_M)))
     for k in range(n_steps + 1):
-        s = min(length_m, k * step_m)
-        if lane_clearance_at(world, lane_map, s, ego_radius_m) < safety_margin_m:
+        s = min(length_m, k * _CORRIDOR_STEP_M)
+        clearance = lane_clearance_at(world, lane_map, s, ego_radius_m)
+        if clearance < SAFETY_MARGIN_M:
             return s
     return None

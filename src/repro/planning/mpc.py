@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Sequence, Tuple
 
 from ..scene.lanes import LaneMap, LaneSegment
 from ..scene.world import Obstacle
@@ -51,19 +51,29 @@ class Plan:
 
 @dataclass
 class MpcPlanner:
-    """Receding-horizon lane-level planner."""
+    """Receding-horizon lane-level planner.
+
+    A planner varies only its lane map, its vehicle model and its
+    pure-pursuit lookahead.  The horizon, the speed profiles and the
+    cost weights are the one tuning every vehicle runs: class
+    constants, readable as ``planner.dt_s`` and the like.
+    """
+
+    #: A 3-s horizon in 0.2-s steps (15 rollout points).
+    horizon_s: ClassVar[float] = 3.0
+    dt_s: ClassVar[float] = 0.2
+    target_speed_mps: ClassVar[float] = 5.6
+    accel_candidates: ClassVar[Tuple[float, ...]] = (
+        -4.0, -2.0, -0.5, 0.0, 1.0, 2.0
+    )
+    lane_change_penalty: ClassVar[float] = 5.0
+    comfort_weight: ClassVar[float] = 0.5
+    speed_error_weight: ClassVar[float] = 2.0
+    progress_weight: ClassVar[float] = 1.0
+    collision_cost: ClassVar[float] = 1e6
 
     lane_map: LaneMap
     model: BicycleModel = field(default_factory=BicycleModel)
-    horizon_s: float = 3.0
-    dt_s: float = 0.2
-    target_speed_mps: float = 5.6
-    accel_candidates: Tuple[float, ...] = (-4.0, -2.0, -0.5, 0.0, 1.0, 2.0)
-    lane_change_penalty: float = 5.0
-    comfort_weight: float = 0.5
-    speed_error_weight: float = 2.0
-    progress_weight: float = 1.0
-    collision_cost: float = 1e6
     lookahead_m: float = 4.0
 
     def plan(
@@ -189,8 +199,6 @@ class MpcPlanner:
         accel: float,
         report: CollisionReport,
     ) -> float:
-        if not trajectory:
-            return float("inf")
         progress = trajectory[-1].x_m - trajectory[0].x_m
         speed_error = sum(
             (p.speed_mps - self.target_speed_mps) ** 2 for p in trajectory

@@ -11,7 +11,7 @@ pipeline.  Its end-to-end latency is ~30 ms (vs the proactive best case of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from ..core import calibration
 from ..core.latency_model import LatencyModel
@@ -47,12 +47,13 @@ class ReactivePath:
     "directly translates to better passenger experience").
     """
 
-    latency_s: float = calibration.REACTIVE_PATH_LATENCY_S
-    margin_m: float = 0.3
+    latency_s: ClassVar[float] = calibration.REACTIVE_PATH_LATENCY_S
     #: Below this speed the vehicle counts as stopped: an in-threshold
     #: obstruction yields a brake *hold*, not a new trigger.
-    stopped_speed_eps_mps: float = 0.05
-    latency_model: LatencyModel = field(default_factory=LatencyModel)
+    stopped_speed_eps_mps: ClassVar[float] = 0.05
+    latency_model: ClassVar[LatencyModel] = LatencyModel()
+
+    margin_m: float = 0.3
     triggers: int = field(default=0, init=False)
 
     @property

@@ -623,39 +623,13 @@ class FrontierPoint:
     safe_stop_rate: float
 
 
-def intensity_frontier(
-    intensities: Sequence[float] = (1.0, 1.5, 2.0, 2.5, 3.0),
-    n_drives: int = 48,
-    seed: int = 0,
-    space: Optional[FaultSpace] = None,
-) -> Tuple[List[FrontierPoint], Optional[float]]:
-    """Sweep fault intensity and find where the safety net breaks.
-
-    Every point drives *n_drives* sampled scenarios with the full safety
-    net engaged; the frontier is the lowest swept intensity with a
-    nonzero collision rate — the boundary past which the reactive path
-    alone can no longer guarantee safety (None if the net holds across
-    the whole sweep).
-    """
-    base = space or FaultSpace()
-    points: List[FrontierPoint] = []
-    frontier: Optional[float] = None
-    for intensity in intensities:
-        point = _frontier_point(base, intensity, n_drives, seed)
-        points.append(point)
-        if frontier is None and point.collisions > 0:
-            frontier = intensity
-    return points, frontier
-
-
 def _frontier_point(
     base: FaultSpace, intensity: float, n_drives: int, seed: int
 ) -> FrontierPoint:
     """Evaluate one intensity with the safety net engaged.
 
-    Deterministic per ``(seed, intensity)``: the fixed-grid and adaptive
-    sweeps produce identical points wherever they evaluate the same
-    intensity.
+    Deterministic per ``(seed, intensity)``: a search that probes the
+    same intensity twice gets the same point.
     """
     config = ChaosConfig(
         n_drives=n_drives,

@@ -173,10 +173,6 @@ class HealthMonitor:
             name=name, timeout_s=timeout_s or self.default_timeout_s
         )
 
-    @property
-    def module_names(self) -> List[str]:
-        return list(self._modules)
-
     def module(self, name: str) -> ModuleHealth:
         return self._modules[name]
 

@@ -21,11 +21,13 @@ a bit-identical :func:`~repro.testing.invariants.drive_fingerprint` to
   arithmetic operation for operation (see :mod:`repro.runtime.kernels`);
   candidate enumeration order, tie-breaks, and the emergency path are
   reproduced structurally.
-* Any request the fast path cannot *prove* it handles exactly — an
-  exotic planner subclass, a prediction list that is not on the standard
-  ``(k+1)*dt`` grid, a sub-tolerance planning step — falls back to the
-  scalar ``planner.plan`` for that request only.  Fallbacks trade speed
-  for certainty, never correctness.
+* Requests the fast path does not cover fall back to the scalar
+  ``planner.plan`` for that request only: a planner that is not exactly
+  an :class:`~repro.planning.mpc.MpcPlanner` over a
+  :class:`~repro.vehicle.dynamics.BicycleModel`, and a prediction list
+  that is not on the planner's ``(k+1)*dt`` horizon grid.  An off-map
+  state gets the scalar planner's emergency stop directly.  Fallbacks
+  trade speed for certainty, never correctness.
 
 The differential harness (:mod:`repro.testing.differential`) enforces
 the contract over the full scenario x seed x fault matrix.
@@ -33,7 +35,7 @@ the contract over the full scenario x seed x fault matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,35 +45,6 @@ from ..scene.cache import SceneCache, cache_for
 from ..vehicle.dynamics import BicycleModel, ControlCommand
 from . import kernels
 from .sov import DriveLoop, DriveResult, PlanRequest, SystemsOnAVehicle
-
-#: ``check_trajectory``'s prediction/point matching tolerance.  The fast
-#: path pairs prediction block ``k`` with trajectory point ``k`` (both at
-#: ``(k+1)*dt``); that is only equivalent to the scalar time-window scan
-#: when distinct grid instants can never fall inside the window, so
-#: planners with ``dt_s`` at or below 1.5x the tolerance take the scalar
-#: fallback.
-_TIME_TOLERANCE_S = 0.06
-
-
-def _planner_signature(planner: MpcPlanner) -> Tuple:
-    model = planner.model
-    return (
-        planner.horizon_s,
-        planner.dt_s,
-        planner.target_speed_mps,
-        planner.accel_candidates,
-        planner.lane_change_penalty,
-        planner.comfort_weight,
-        planner.speed_error_weight,
-        planner.progress_weight,
-        planner.collision_cost,
-        planner.lookahead_m,
-        model.wheelbase_m,
-        model.max_speed_mps,
-        model.max_decel_mps2,
-        model.max_accel_mps2,
-        model.max_steer_rad,
-    )
 
 
 @dataclass
@@ -87,20 +60,24 @@ class _Entry:
     command: Optional[ControlCommand] = None
 
 
-def _prediction_block_count(
-    predictions: Sequence, steps: int, times: Sequence[float]
-) -> Optional[int]:
-    """Objects-per-block if *predictions* lie exactly on the standard
+def _prediction_block_count(predictions: Sequence) -> Optional[int]:
+    """Objects-per-block if *predictions* lie exactly on the horizon
     grid (block ``k`` == trajectory point ``k``'s timestamp, bitwise);
-    None means the fast path must not assume the alignment."""
+    None means the fast path must not assume the alignment.
+
+    Pairing block ``k`` with point ``k`` is what ``check_trajectory``'s
+    time-window scan does, because the grid step ``MpcPlanner.dt_s``
+    is wider than 1.5x :data:`~repro.planning.collision.TIME_TOLERANCE_S`:
+    no other grid instant falls inside a point's window.
+    """
     n = len(predictions)
     if n == 0:
         return 0
+    steps = kernels.HORIZON_STEPS
     if n % steps:
         return None
     per_block = n // steps
-    for b in range(steps):
-        t = times[b]
+    for b, t in enumerate(kernels.HORIZON_TIMES):
         base = b * per_block
         for j in range(per_block):
             if predictions[base + j].time_s != t:
@@ -114,7 +91,9 @@ def plan_requests(
     """Answer a round of plan requests, vectorizing where provably exact.
 
     Returns the post-clamp command for each request — exactly what
-    ``planner.plan(...).command`` would have produced.
+    ``planner.plan(...).command`` would have produced.  Fast-path
+    requests are solved in one vectorized pass per (model, lookahead)
+    pair, the only planner settings that vary.
     """
     commands: List[Optional[ControlCommand]] = [None] * len(items)
     groups: Dict[Tuple, List[Tuple[int, _Entry]]] = {}
@@ -123,17 +102,8 @@ def plan_requests(
         fast = (
             type(planner) is MpcPlanner
             and type(planner.model) is BicycleModel
-            and planner.dt_s > 0
-            and planner.horizon_s > 0
         )
         if not fast:
-            commands[idx] = _scalar_plan(planner, request)
-            continue
-        steps = int(round(planner.horizon_s / planner.dt_s))
-        if steps < 1 or (
-            request.predictions
-            and planner.dt_s <= 1.5 * _TIME_TOLERANCE_S
-        ):
             commands[idx] = _scalar_plan(planner, request)
             continue
         current = planner.lane_map.locate(
@@ -149,10 +119,7 @@ def plan_requests(
                 source="proactive",
             )
             continue
-        times = [(k + 1) * planner.dt_s for k in range(steps)]
-        pred_count = _prediction_block_count(
-            request.predictions, steps, times
-        )
+        pred_count = _prediction_block_count(request.predictions)
         if pred_count is None:
             commands[idx] = _scalar_plan(planner, request)
             continue
@@ -165,7 +132,7 @@ def plan_requests(
             current_sid=current,
             pred_count=pred_count,
         )
-        groups.setdefault(_planner_signature(planner), []).append(
+        groups.setdefault((planner.model, planner.lookahead_m), []).append(
             (idx, entry)
         )
     for group in groups.values():
@@ -188,13 +155,14 @@ def _scalar_plan(planner, request: PlanRequest) -> ControlCommand:
 def _gather_lanes(
     per_entry: List[Tuple[SceneCache, np.ndarray]]
 ) -> kernels.LaneBatch:
-    """Assemble one cross-scene LaneBatch from per-entry gather indices."""
-    smax = max(c.ax.shape[1] for c, _ in per_entry)
+    """One cross-scene LaneBatch: the given rows of each entry's
+    ``cache.lanes``, padded to the group's widest row."""
+    smax = max(cache.lanes.ax.shape[1] for cache, _ in per_entry)
 
     def cat(attr: str, fill: float = 0.0) -> np.ndarray:
         parts = []
         for cache, idx in per_entry:
-            block = getattr(cache, attr)[idx]
+            block = getattr(cache.lanes, attr)[idx]
             if block.shape[1] < smax:
                 padded = np.full((block.shape[0], smax), fill)
                 padded[:, : block.shape[1]] = block
@@ -204,12 +172,12 @@ def _gather_lanes(
 
     def cat1(attr: str) -> np.ndarray:
         return np.concatenate(
-            [getattr(c, attr)[i] for c, i in per_entry]
+            [getattr(cache.lanes, attr)[idx] for cache, idx in per_entry]
         )
 
     segments: List[object] = []
     for cache, idx in per_entry:
-        segments.extend(cache.segments[i] for i in idx)
+        segments.extend(cache.lanes.segments[i] for i in idx)
     return kernels.LaneBatch(
         ax=cat("ax"),
         ay=cat("ay"),
@@ -229,11 +197,9 @@ def _gather_lanes(
 def _solve_group(entries: List[_Entry]) -> None:
     """One vectorized planning pass over every candidate of every entry."""
     planner = entries[0].planner
-    model = planner.model
-    accels = planner.accel_candidates
+    accels = MpcPlanner.accel_candidates
     n_accels = len(accels)
-    steps = int(round(planner.horizon_s / planner.dt_s))
-    times = [(k + 1) * planner.dt_s for k in range(steps)]
+    steps = kernels.HORIZON_STEPS
 
     # -- candidate rows: lane-major, accel-minor, entries in order ---------
     accel_tile = np.array(accels)
@@ -269,20 +235,7 @@ def _solve_group(entries: List[_Entry]) -> None:
     total_rows = lanes.width
 
     tx, ty, tspeed, steer0 = kernels.rollout_batch(
-        lanes,
-        x0,
-        y0,
-        h0,
-        v0,
-        accel,
-        steps=steps,
-        dt_s=planner.dt_s,
-        lookahead_m=planner.lookahead_m,
-        wheelbase_m=model.wheelbase_m,
-        max_speed_mps=model.max_speed_mps,
-        max_steer_rad=model.max_steer_rad,
-        max_accel_mps2=model.max_accel_mps2,
-        max_decel_mps2=model.max_decel_mps2,
+        lanes, x0, y0, h0, v0, accel, planner.model, planner.lookahead_m
     )
 
     # -- obstacles / predictions, padded ragged across entries -------------
@@ -314,22 +267,11 @@ def _solve_group(entries: List[_Entry]) -> None:
         row0 += n_rows
 
     collides, ttc = kernels.collision_batch(
-        tx, ty, times, obs_x, obs_y, obs_r, pred_x, pred_y, pred_r
+        tx, ty, kernels.HORIZON_TIMES,
+        obs_x, obs_y, obs_r, pred_x, pred_y, pred_r,
     )
     costs = kernels.cost_batch(
-        tx,
-        tspeed,
-        accel,
-        np.array(change_rows),
-        collides,
-        ttc,
-        target_speed_mps=planner.target_speed_mps,
-        progress_weight=planner.progress_weight,
-        comfort_weight=planner.comfort_weight,
-        speed_error_weight=planner.speed_error_weight,
-        lane_change_penalty=planner.lane_change_penalty,
-        collision_cost=planner.collision_cost,
-        max_decel_mps2=model.max_decel_mps2,
+        tx, tspeed, accel, np.array(change_rows), collides, ttc
     )
 
     # -- per-entry selection: first minimum, rows in candidate order -------

@@ -62,6 +62,11 @@ class CanBus:
     """
 
     FRAME_BITS = 111
+    BIT_RATE_BPS = 500_000.0
+    #: Wire time of one frame.
+    frame_time_s = FRAME_BITS / BIT_RATE_BPS
+    #: Controller queuing/driver overhead on top of the wire time.
+    fixed_overhead_s = calibration.CAN_BUS_LATENCY_S - frame_time_s
     #: Arbitration id of safety-critical traffic (reactive / supervisor
     #: brake commands): wins arbitration against everything below it.
     PRIORITY_CRITICAL = 0x010
@@ -69,20 +74,7 @@ class CanBus:
     #: queue behind the full backlog; ids < this preempt the backlog.
     PRIORITY_NORMAL = 0x100
 
-    def __init__(
-        self,
-        bit_rate_bps: float = 500_000.0,
-        fixed_overhead_s: Optional[float] = None,
-    ) -> None:
-        if bit_rate_bps <= 0:
-            raise ValueError("bit rate must be positive")
-        self.bit_rate_bps = bit_rate_bps
-        wire_time = self.FRAME_BITS / bit_rate_bps
-        if fixed_overhead_s is None:
-            fixed_overhead_s = calibration.CAN_BUS_LATENCY_S - wire_time
-        if fixed_overhead_s < 0:
-            raise ValueError("fixed overhead must be non-negative")
-        self.fixed_overhead_s = fixed_overhead_s
+    def __init__(self) -> None:
         self._queue: List[Tuple[float, int, CanMessage]] = []
         self._bus_free_at_s = 0.0
         self._sequence = 0
@@ -101,10 +93,6 @@ class CanBus:
         #: as two identical intervals.
         self.tracer = None
 
-    @property
-    def frame_time_s(self) -> float:
-        return self.FRAME_BITS / self.bit_rate_bps
-
     def nominal_latency_s(self) -> float:
         return self.frame_time_s + self.fixed_overhead_s
 
@@ -121,10 +109,6 @@ class CanBus:
         self._fault = fault
         if rng is not None:
             self._fault_rng = rng
-
-    @property
-    def fault_active(self) -> bool:
-        return self._fault is not None
 
     # -- the wire --------------------------------------------------------------
 

@@ -227,29 +227,17 @@ class SovDataflow:
     ) -> float:
         """Critical-path latency *within* one stage."""
         order = self._stage_topo.get(stage)
-        if order is None:
-            members = [n for n, t in self._tasks.items() if t.stage == stage]
-            if not members:
-                return 0.0
-            sub = self._graph.subgraph(members)
-            finish: Dict[str, float] = {}
-            for node in nx.topological_sort(sub):
-                start = max(
-                    (finish[p] for p in sub.predecessors(node)), default=0.0
-                )
-                finish[node] = start + latencies[node]
-            return max(finish.values())
         if not order:
             return 0.0
         preds = self._stage_preds[stage]
-        finish = {}
+        finish: Dict[str, float] = {}
         for node in order:
             start = max((finish[p] for p in preds[node]), default=0.0)
             finish[node] = start + latencies[node]
         return max(finish.values())
 
 
-def paper_dataflow(seed_irrelevant: int = 0) -> SovDataflow:
+def paper_dataflow() -> SovDataflow:
     """The deployed vehicle's dataflow with calibrated latencies.
 
     Task latencies reflect the FPGA-offloaded configuration (Sec. V-B2):

@@ -9,6 +9,13 @@ arithmetic: every kernel in this module replicates the scalar planner's
 floating-point operations bit for bit, in the same order, so a batched
 drive produces the identical :func:`~repro.testing.invariants.drive_fingerprint`.
 
+Callers pass only what varies between vehicles: lane geometry as one
+:class:`LaneBatch` (row ``i`` is lane ``i``, built by :func:`lane_batch`),
+the :class:`~repro.vehicle.dynamics.BicycleModel`, and the pure-pursuit
+lookahead.  The planner's horizon and cost weights are read from the
+:class:`~repro.planning.mpc.MpcPlanner` class constants, and the ego
+radius and safety margin from :mod:`repro.planning.collision`.
+
 Three exactness rules, established empirically on this platform and
 enforced by ``tests/runtime/test_kernels.py``:
 
@@ -38,9 +45,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..planning.collision import EGO_RADIUS_M, SAFETY_MARGIN_M
+from ..planning.mpc import MpcPlanner
+from ..vehicle.dynamics import BicycleModel
+
+#: The planner's horizon grid: ``MpcPlanner._rollout``'s step count and
+#: its point times ``(k + 1) * dt``, the exact floats the scalar
+#: trajectory carries.
+HORIZON_STEPS = int(round(MpcPlanner.horizon_s / MpcPlanner.dt_s))
+HORIZON_TIMES = tuple((k + 1) * MpcPlanner.dt_s for k in range(HORIZON_STEPS))
 
 #: Relative half-width of the exactness guard band around comparison
 #: boundaries.  ``np.hypot`` differs from ``math.hypot`` by at most
@@ -103,94 +120,34 @@ def exact_tan(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LaneSoA:
-    """One lane's centerline as padded per-segment constant arrays.
+class LaneBatch:
+    """Lane geometry as padded structure-of-arrays: row ``i`` is lane ``i``.
 
-    All values are computed once with scalar ``math`` arithmetic (see
-    :mod:`repro.scene.cache`), so they are bit-identical to what the
-    scalar planner recomputes every tick.  Zero-length padding rows are
-    exact no-ops for both the progress walk (skipped, ``cum + 0.0``)
-    and the point walk (``seg_len > 0`` guard fails, ``remaining - 0.0``).
+    Shapes are ``[B, S]`` (``B`` lanes, ``S`` padded segments) for the
+    per-segment arrays and ``[B]`` for the endpoints.  All values are
+    computed once with scalar ``math`` arithmetic (:func:`lane_batch`),
+    so they are bit-identical to what the scalar planner recomputes
+    every tick.  Zero-length padding segments are exact no-ops for both
+    the progress walk (skipped, ``cum + 0.0``) and the point walk
+    (``seg_len > 0`` guard fails, ``remaining - 0.0``).
     """
 
-    #: Segment start points, deltas, lengths; shape ``[S]`` each.
+    #: Segment start points, deltas, lengths.
     ax: np.ndarray
     ay: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
     length: np.ndarray
-    #: ``seg_len ** 2`` per segment (the scalar's projection denominator).
+    #: ``seg_len ** 2`` per segment (the scalar's projection denominator);
+    #: 1.0 where there is no segment, so masked rows never divide by 0.
     length_sq: np.ndarray
     #: Left-fold prefix sums of ``length`` (the scalar's ``cumulative``).
-    cum: np.ndarray
-    start: Tuple[float, float]
-    end: Tuple[float, float]
-    #: The source segment (scalar fallback for guard-band near-ties).
-    segment: "object"
-
-
-def lane_soa(segment, pad_to: Optional[int] = None) -> LaneSoA:
-    """Build a :class:`LaneSoA` from a :class:`~repro.scene.lanes.LaneSegment`.
-
-    Per-segment constants use the exact arithmetic of the scalar walks:
-    ``math.hypot`` lengths, ``** 2`` squares, sequential ``+=`` prefix
-    sums.
-    """
-    pts = segment.centerline
-    n = len(pts) - 1
-    size = n if pad_to is None else pad_to
-    if size < n:
-        raise ValueError("pad_to smaller than segment count")
-    ax = np.zeros(size)
-    ay = np.zeros(size)
-    dx = np.zeros(size)
-    dy = np.zeros(size)
-    length = np.zeros(size)
-    length_sq = np.ones(size)  # padded denominator: masked, never 0-div
-    cum = np.zeros(size)
-    cumulative = 0.0
-    for j in range(n):
-        (x0, y0), (x1, y1) = pts[j], pts[j + 1]
-        ax[j], ay[j] = x0, y0
-        dx[j], dy[j] = x1 - x0, y1 - y0
-        seg_len = math.hypot(x1 - x0, y1 - y0)
-        length[j] = seg_len
-        length_sq[j] = seg_len ** 2 if seg_len > 0 else 1.0
-        cum[j] = cumulative
-        cumulative += seg_len
-    return LaneSoA(
-        ax=ax,
-        ay=ay,
-        dx=dx,
-        dy=dy,
-        length=length,
-        length_sq=length_sq,
-        cum=cum,
-        start=pts[0],
-        end=pts[-1],
-        segment=segment,
-    )
-
-
-@dataclass(frozen=True)
-class LaneBatch:
-    """Per-candidate lane geometry: row ``i`` is candidate ``i``'s lane.
-
-    Shapes are ``[B, S]`` (``B`` candidates, ``S`` padded segments) for
-    the per-segment arrays and ``[B]`` for the endpoints.
-    """
-
-    ax: np.ndarray
-    ay: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    length: np.ndarray
-    length_sq: np.ndarray
     cum: np.ndarray
     start_x: np.ndarray
     start_y: np.ndarray
     end_x: np.ndarray
     end_y: np.ndarray
+    #: The source segment per row (scalar fallback for guard-band ties).
     segments: Tuple["object", ...]
 
     @property
@@ -198,32 +155,49 @@ class LaneBatch:
         return self.ax.shape[0]
 
 
-def stack_lanes(lanes: Sequence[LaneSoA]) -> LaneBatch:
-    """Stack per-candidate :class:`LaneSoA` rows into one ``[B, S]`` batch."""
-    if not lanes:
+def lane_batch(segments: Sequence) -> LaneBatch:
+    """One :class:`LaneBatch` row per :class:`~repro.scene.lanes.LaneSegment`.
+
+    Per-segment constants use the exact arithmetic of the scalar walks:
+    ``math.hypot`` lengths, ``** 2`` squares, sequential ``+=`` prefix
+    sums.  Rows are padded to the longest centerline.
+    """
+    if not segments:
         raise ValueError("need at least one lane")
-    pad = max(l.ax.shape[0] for l in lanes)
-
-    def grab(attr: str, fill: float = 0.0) -> np.ndarray:
-        out = np.full((len(lanes), pad), fill)
-        for i, lane in enumerate(lanes):
-            row = getattr(lane, attr)
-            out[i, : row.shape[0]] = row
-        return out
-
+    size = max(len(segment.centerline) - 1 for segment in segments)
+    shape = (len(segments), size)
+    ax = np.zeros(shape)
+    ay = np.zeros(shape)
+    dx = np.zeros(shape)
+    dy = np.zeros(shape)
+    length = np.zeros(shape)
+    length_sq = np.ones(shape)
+    cum = np.zeros(shape)
+    for i, segment in enumerate(segments):
+        pts = segment.centerline
+        cumulative = 0.0
+        for j in range(len(pts) - 1):
+            (x0, y0), (x1, y1) = pts[j], pts[j + 1]
+            ax[i, j], ay[i, j] = x0, y0
+            dx[i, j], dy[i, j] = x1 - x0, y1 - y0
+            seg_len = math.hypot(x1 - x0, y1 - y0)
+            length[i, j] = seg_len
+            length_sq[i, j] = seg_len ** 2 if seg_len > 0 else 1.0
+            cum[i, j] = cumulative
+            cumulative += seg_len
     return LaneBatch(
-        ax=grab("ax"),
-        ay=grab("ay"),
-        dx=grab("dx"),
-        dy=grab("dy"),
-        length=grab("length"),
-        length_sq=grab("length_sq", fill=1.0),
-        cum=grab("cum"),
-        start_x=np.array([l.start[0] for l in lanes]),
-        start_y=np.array([l.start[1] for l in lanes]),
-        end_x=np.array([l.end[0] for l in lanes]),
-        end_y=np.array([l.end[1] for l in lanes]),
-        segments=tuple(l.segment for l in lanes),
+        ax=ax,
+        ay=ay,
+        dx=dx,
+        dy=dy,
+        length=length,
+        length_sq=length_sq,
+        cum=cum,
+        start_x=np.array([s.centerline[0][0] for s in segments]),
+        start_y=np.array([s.centerline[0][1] for s in segments]),
+        end_x=np.array([s.centerline[-1][0] for s in segments]),
+        end_y=np.array([s.centerline[-1][1] for s in segments]),
+        segments=tuple(segments),
     )
 
 
@@ -363,24 +337,23 @@ def bicycle_step_batch(
     speed: np.ndarray,
     steer: np.ndarray,
     accel_clamped: np.ndarray,
+    model: BicycleModel,
     dt_s: float,
-    wheelbase_m: float,
-    max_speed_mps: float,
-    max_steer_rad: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized ``BicycleModel.step`` (accel pre-clamped, steer raw).
+    """Vectorized ``model.step`` (accel pre-clamped, steer raw).
 
     Operation order matches the scalar update exactly: speed integrate,
     clamp to ``[0, max_speed]``, trapezoidal average, heading update via
     ``(avg / wb * tan(steer)) * dt``, position via ``(avg * cos(h)) * dt``,
     angle wrap through ``fmod``.
     """
+    max_steer_rad = model.max_steer_rad
     steer_c = np.maximum(-max_steer_rad, np.minimum(max_steer_rad, steer))
     new_speed = speed + accel_clamped * dt_s
-    new_speed = np.maximum(0.0, np.minimum(max_speed_mps, new_speed))
+    new_speed = np.maximum(0.0, np.minimum(model.max_speed_mps, new_speed))
     avg_speed = 0.5 * (speed + new_speed)
     new_heading = heading + (
-        avg_speed / wheelbase_m * exact_tan(steer_c) * dt_s
+        avg_speed / model.wheelbase_m * exact_tan(steer_c) * dt_s
     )
     new_x = x + avg_speed * np.cos(heading) * dt_s
     new_y = y + avg_speed * np.sin(heading) * dt_s
@@ -396,48 +369,35 @@ def rollout_batch(
     heading0: np.ndarray,
     speed0: np.ndarray,
     accel: np.ndarray,
-    steps: int,
-    dt_s: float,
+    model: BicycleModel,
     lookahead_m: float,
-    wheelbase_m: float,
-    max_speed_mps: float,
-    max_steer_rad: float,
-    max_accel_mps2: float,
-    max_decel_mps2: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized ``MpcPlanner._rollout`` across ``B`` candidates.
 
     Returns ``(tx, ty, tspeed, steer0)``: the per-candidate trajectory
-    arrays, shape ``[B, steps]``, plus the first-step pure-pursuit steer
-    (bit-equal to the scalar planner's command steer for the winning
-    candidate's lane, since both are evaluated at the pre-rollout state).
+    arrays, shape ``[B, HORIZON_STEPS]``, plus the first-step
+    pure-pursuit steer (bit-equal to the scalar planner's command steer
+    for the winning candidate's lane, since both are evaluated at the
+    pre-rollout state).
     """
     b = x0.shape[0]
+    steps = HORIZON_STEPS
     tx = np.empty((b, steps))
     ty = np.empty((b, steps))
     tspeed = np.empty((b, steps))
     accel_c = np.maximum(
-        -max_decel_mps2, np.minimum(max_accel_mps2, accel)
+        -model.max_decel_mps2, np.minimum(model.max_accel_mps2, accel)
     )
     x, y, heading, speed = x0, y0, heading0, speed0
     steer0: Optional[np.ndarray] = None
     for k in range(steps):
         steer = pure_pursuit_steer_batch(
-            lanes, x, y, heading, wheelbase_m, lookahead_m=lookahead_m
+            lanes, x, y, heading, model.wheelbase_m, lookahead_m=lookahead_m
         )
         if k == 0:
             steer0 = steer
         x, y, heading, speed = bicycle_step_batch(
-            x,
-            y,
-            heading,
-            speed,
-            steer,
-            accel_c,
-            dt_s,
-            wheelbase_m,
-            max_speed_mps,
-            max_steer_rad,
+            x, y, heading, speed, steer, accel_c, model, MpcPlanner.dt_s
         )
         tx[:, k] = x
         ty[:, k] = y
@@ -459,8 +419,6 @@ def collision_batch(
     pred_x: np.ndarray,
     pred_y: np.ndarray,
     pred_r: np.ndarray,
-    ego_radius_m: float = 0.8,
-    safety_margin_m: float = 0.3,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized ``check_trajectory`` verdicts across ``B`` candidates.
 
@@ -488,16 +446,16 @@ def collision_batch(
     clear_obs = (
         np.hypot(tx[:, :, None] - obs_x[:, None, :], ty[:, :, None] - obs_y[:, None, :])
         - obs_r[:, None, :]
-        - ego_radius_m
+        - EGO_RADIUS_M
     )
     clear_pred = (
         np.hypot(tx[:, :, None] - pred_x, ty[:, :, None] - pred_y)
         - pred_r
-        - ego_radius_m
+        - EGO_RADIUS_M
     )
     clearance = np.concatenate([clear_obs, clear_pred], axis=2)
     # Guard band: re-evaluate near-margin pairs with the scalar hypot.
-    near = np.abs(clearance - safety_margin_m) <= _BAND_REL * np.maximum(
+    near = np.abs(clearance - SAFETY_MARGIN_M) <= _BAND_REL * np.maximum(
         1.0, np.abs(clearance)
     )
     if np.any(near):
@@ -513,10 +471,10 @@ def collision_batch(
             clearance[bi, ki, pi] = (
                 math.hypot(float(tx[bi, ki]) - ex, float(ty[bi, ki]) - ey)
                 - er
-                - ego_radius_m
+                - EGO_RADIUS_M
             )
     flat = clearance.reshape(b, t * per_point)
-    violates = flat < safety_margin_m
+    violates = flat < SAFETY_MARGIN_M
     collides = violates.any(axis=1)
     first = np.argmax(violates, axis=1)
     point_idx = first // per_point
@@ -539,13 +497,6 @@ def cost_batch(
     is_lane_change: np.ndarray,
     collides: np.ndarray,
     ttc: np.ndarray,
-    target_speed_mps: float,
-    progress_weight: float,
-    comfort_weight: float,
-    speed_error_weight: float,
-    lane_change_penalty: float,
-    collision_cost: float,
-    max_decel_mps2: float,
 ) -> np.ndarray:
     """Vectorized ``MpcPlanner._cost`` across ``B`` candidates.
 
@@ -553,42 +504,22 @@ def cost_batch(
     (Python ``sum`` order); everything else is element-wise in the
     scalar expression order.
     """
+    mpc = MpcPlanner
     steps = tspeed.shape[1]
     progress = tx[:, -1] - tx[:, 0]
     speed_error = np.zeros(tx.shape[0])
     for k in range(steps):
-        speed_error = speed_error + (tspeed[:, k] - target_speed_mps) ** 2
+        speed_error = speed_error + (tspeed[:, k] - mpc.target_speed_mps) ** 2
     speed_error = speed_error / steps
     colliding_cost = (
-        collision_cost - 100.0 * ttc + 10.0 * (accel + max_decel_mps2)
+        mpc.collision_cost
+        - 100.0 * ttc
+        + 10.0 * (accel + BicycleModel.max_decel_mps2)
     )
     nominal_cost = (
-        -progress_weight * progress
-        + comfort_weight * np.abs(accel)
-        + speed_error_weight * speed_error
-        + np.where(is_lane_change, lane_change_penalty, 0.0)
+        -mpc.progress_weight * progress
+        + mpc.comfort_weight * np.abs(accel)
+        + mpc.speed_error_weight * speed_error
+        + np.where(is_lane_change, mpc.lane_change_penalty, 0.0)
     )
     return np.where(collides, colliding_cost, nominal_cost)
-
-
-# -- batched obstacle / world helpers ------------------------------------------
-
-
-def obstacle_clearances_batch(
-    x: np.ndarray,
-    y: np.ndarray,
-    obs_x: np.ndarray,
-    obs_y: np.ndarray,
-    obs_r: np.ndarray,
-) -> np.ndarray:
-    """Vectorized ``Obstacle.distance_to`` minus nothing: surface distance
-    from each query point to each obstacle, shape ``[B, O]``.
-
-    Uses :func:`exact_hypot`, so each entry is bit-equal to the scalar
-    ``math.hypot(...) - radius`` — suitable for golden comparisons and
-    offline analytics over drive logs.
-    """
-    return (
-        exact_hypot(x[:, None] - obs_x[None, :], y[:, None] - obs_y[None, :])
-        - obs_r[None, :]
-    )

@@ -189,7 +189,6 @@ class SystemsOnAVehicle:
         lane_map: Optional[LaneMap] = None,
         initial_state: Optional[VehicleState] = None,
         config: Optional[SovConfig] = None,
-        dataflow: Optional[SovDataflow] = None,
     ) -> None:
         self.world = world
         self.lane_map = lane_map or straight_corridor(length_m=200.0, n_lanes=1)
@@ -204,7 +203,7 @@ class SystemsOnAVehicle:
         self.ecu = EngineControlUnit()
         self.actuator = Actuator()
         self.battery = Battery()
-        self.dataflow = dataflow or paper_dataflow()
+        self.dataflow = paper_dataflow()
         self._rng = np.random.default_rng(self.config.seed)
         self.latency = LatencyStats()
         self.ops = OperationsLog()

@@ -144,11 +144,3 @@ class OperationsLog:
             return 1.0
         reactive = self.reactive_overrides + self.reactive_holds
         return max(0.0, 1.0 - reactive / self.control_ticks)
-
-    @property
-    def degraded_fraction(self) -> float:
-        """Fraction of control ticks spent outside NOMINAL mode."""
-        total = sum(self.mode_ticks.values())
-        if total == 0:
-            return 0.0
-        return 1.0 - self.mode_ticks.get("NOMINAL", 0) / total

@@ -4,10 +4,10 @@ The scalar planner re-derives segment lengths, projection denominators,
 and cumulative arc-lengths from raw centerline tuples on every rollout
 step of every candidate of every tick.  All of that is invariant for the
 life of a scene, so the batched stepper hoists it into a
-:class:`SceneCache`: per-segment structure-of-arrays constants
-(:class:`~repro.runtime.kernels.LaneSoA`), the planner's candidate-lane
-lists, and a gather table that assembles a per-candidate
-:class:`~repro.runtime.kernels.LaneBatch` with two fancy-indexing reads.
+:class:`SceneCache`: one :class:`~repro.runtime.kernels.LaneBatch` with
+a row per lane segment, the row index of each segment id, and the
+planner's candidate-lane list per segment.  The stepper gathers
+candidate rows out of ``lanes`` by fancy indexing.
 
 Caches are keyed by a **scene fingerprint** — a value-equality digest of
 every segment's identity, centerline, width, and the lane-change edge
@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-import numpy as np
-
-from ..runtime.kernels import LaneBatch, LaneSoA, lane_soa
+from ..runtime.kernels import LaneBatch, lane_batch
 from .lanes import LaneMap
 
 #: Maximum number of distinct scenes kept alive at once.
@@ -63,62 +61,17 @@ class SceneCache:
     """Precomputed invariant geometry for one lane map."""
 
     fingerprint: SceneFingerprint
-    #: Segment ids in map insertion order.
-    segment_ids: Tuple[str, ...]
-    #: sid -> row index into the stacked arrays below.
+    #: One row per segment, in map insertion order.
+    lanes: LaneBatch
+    #: sid -> its row in :attr:`lanes`.
     row_of: Dict[str, int]
-    #: Stacked per-segment geometry, shape ``[n_segments, S_max]`` each.
-    ax: np.ndarray
-    ay: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    length: np.ndarray
-    length_sq: np.ndarray
-    cum: np.ndarray
-    start_x: np.ndarray
-    start_y: np.ndarray
-    end_x: np.ndarray
-    end_y: np.ndarray
-    #: The source LaneSegment per row (scalar guard-band fallback).
-    segments: Tuple[object, ...]
     #: sid -> the planner's candidate list ``[sid] + adjacent`` in
     #: ``out_edges`` order.
     candidates_of: Dict[str, Tuple[str, ...]]
 
-    def lanes_for(self, sids: List[str]) -> LaneBatch:
-        """Assemble a per-candidate :class:`LaneBatch` by gathering rows."""
-        idx = np.fromiter(
-            (self.row_of[s] for s in sids), dtype=np.intp, count=len(sids)
-        )
-        return LaneBatch(
-            ax=self.ax[idx],
-            ay=self.ay[idx],
-            dx=self.dx[idx],
-            dy=self.dy[idx],
-            length=self.length[idx],
-            length_sq=self.length_sq[idx],
-            cum=self.cum[idx],
-            start_x=self.start_x[idx],
-            start_y=self.start_y[idx],
-            end_x=self.end_x[idx],
-            end_y=self.end_y[idx],
-            segments=tuple(self.segments[i] for i in idx),
-        )
-
 
 def _build(lane_map: LaneMap, fingerprint: SceneFingerprint) -> SceneCache:
     sids = tuple(lane_map._segments)
-    soas: List[LaneSoA] = []
-    pad = 1
-    for sid in sids:
-        seg = lane_map._segments[sid]
-        pad = max(pad, len(seg.centerline) - 1)
-    for sid in sids:
-        soas.append(lane_soa(lane_map._segments[sid], pad_to=pad))
-
-    def stack(attr: str) -> np.ndarray:
-        return np.stack([getattr(s, attr) for s in soas])
-
     graph = lane_map._graph
     candidates_of = {}
     for sid in sids:
@@ -130,20 +83,8 @@ def _build(lane_map: LaneMap, fingerprint: SceneFingerprint) -> SceneCache:
         candidates_of[sid] = (sid,) + adjacent
     return SceneCache(
         fingerprint=fingerprint,
-        segment_ids=sids,
+        lanes=lane_batch([lane_map._segments[sid] for sid in sids]),
         row_of={sid: i for i, sid in enumerate(sids)},
-        ax=stack("ax"),
-        ay=stack("ay"),
-        dx=stack("dx"),
-        dy=stack("dy"),
-        length=stack("length"),
-        length_sq=stack("length_sq"),
-        cum=stack("cum"),
-        start_x=np.array([s.start[0] for s in soas]),
-        start_y=np.array([s.start[1] for s in soas]),
-        end_x=np.array([s.end[0] for s in soas]),
-        end_y=np.array([s.end[1] for s in soas]),
-        segments=tuple(s.segment for s in soas),
         candidates_of=candidates_of,
     )
 

@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..planning.collision import EGO_RADIUS_M  # noqa: F401 (re-exported)
 from ..robustness.faults import (
     CameraFrameDropFault,
     CanBusFault,
@@ -56,10 +57,6 @@ from .world import Agent, Landmark, Obstacle, World
 #: No obstacle surface may intrude into this disc around the ego start
 #: pose at (0, 0) — the spawn-clearance property the world tests check.
 SPAWN_CLEAR_RADIUS_M = 6.0
-
-#: Ego body radius used for corridor traversability checks (matches the
-#: planner's collision-check default in :mod:`repro.planning.collision`).
-EGO_RADIUS_M = 0.8
 
 
 @dataclass(frozen=True)
@@ -147,10 +144,6 @@ def check_spawn_clearance(scenario: CorridorScenario) -> None:
                 f"{obstacle.obstacle_id} only {clearance:.2f} m from the ego "
                 f"start pose (need {SPAWN_CLEAR_RADIUS_M} m)"
             )
-
-
-#: Backwards-compatible alias (pre-provider-registry spelling).
-_check_spawn_clearance = check_spawn_clearance
 
 
 def _landmarks(

@@ -58,7 +58,6 @@ import numpy as np
 from ..core.energy_model import EnergyModel
 from ..vehicle.battery import Battery, BatteryDepletedError
 from .corridors import (
-    EGO_RADIUS_M,
     CorridorScenario,
     SPAWN_CLEAR_RADIUS_M,
     _landmarks,
@@ -917,10 +916,7 @@ def validate_scene(scenario: GeneratedScenario) -> None:
 
     check_spawn_clearance(scenario)
     blocked_at = corridor_blocked_at(
-        scenario.world,
-        scenario.lane_map,
-        scenario.corridor_length_m,
-        ego_radius_m=EGO_RADIUS_M,
+        scenario.world, scenario.lane_map, scenario.corridor_length_m
     )
     if scenario.blocked and blocked_at is None:
         raise SceneGenerationError(

@@ -185,10 +185,6 @@ class ReplayReport:
     failures: Tuple[Tuple[str, str], ...]
 
     @property
-    def n_fail(self) -> int:
-        return len(self.failures)
-
-    @property
     def pass_rate(self) -> float:
         if self.n_records == 0:
             return 1.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from ..core import calibration
 
@@ -55,21 +55,21 @@ class ControlCommand:
 class BicycleModel:
     """Kinematic bicycle model with actuation limits.
 
-    Defaults match the paper's 2-seater pod: 20 mph top speed, 4 m/s^2
-    brake deceleration.
+    Every vehicle shares the paper's speed cap and brake: 20 mph top
+    speed, 4 m/s^2 deceleration (class constants); the wheelbase and
+    the accel and steer limits vary per model.
     """
 
+    max_speed_mps: ClassVar[float] = calibration.VEHICLE_TOP_SPEED_MPS
+    max_decel_mps2: ClassVar[float] = calibration.BRAKE_DECEL_MPS2
+
     wheelbase_m: float = 1.8
-    max_speed_mps: float = calibration.VEHICLE_TOP_SPEED_MPS
-    max_decel_mps2: float = calibration.BRAKE_DECEL_MPS2
     max_accel_mps2: float = 2.0
     max_steer_rad: float = 0.5
 
     def __post_init__(self) -> None:
         if self.wheelbase_m <= 0:
             raise ValueError("wheelbase must be positive")
-        if self.max_speed_mps <= 0 or self.max_decel_mps2 <= 0:
-            raise ValueError("limits must be positive")
 
     def clamp(self, command: ControlCommand) -> ControlCommand:
         """Clamp a command to the vehicle's actuation limits.

@@ -86,10 +86,3 @@ class TestEmergency:
         assert len(trajectory) == int(planner.horizon_s / planner.dt_s)
         assert trajectory[0].time_s == pytest.approx(planner.dt_s)
         assert trajectory[-1].time_s == pytest.approx(planner.horizon_s)
-
-    def test_empty_trajectory_cost_infinite(self, planner):
-        from repro.planning.collision import CollisionReport
-
-        assert planner._cost([], False, 0.0, CollisionReport(False)) == float(
-            "inf"
-        )

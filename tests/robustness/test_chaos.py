@@ -10,7 +10,6 @@ from repro.robustness.chaos import (
     FaultSpace,
     aggregate_envelope,
     drive_seed,
-    intensity_frontier,
     run_chaos_campaign,
     run_chaos_drive,
     scenario_for_drive,
@@ -240,20 +239,6 @@ class TestCorridorCampaigns:
         assert result.envelope.collision_rate == 0.0
         for record in result.records:
             assert sum(record.mode_residency.values()) == pytest.approx(1.0)
-
-
-class TestFrontier:
-    def test_single_point_sweep_shape(self):
-        points, frontier = intensity_frontier(
-            intensities=(1.0,), n_drives=3, seed=0
-        )
-        assert len(points) == 1
-        assert points[0].intensity == 1.0
-        assert points[0].n_drives == 3
-        if points[0].collisions == 0:
-            assert frontier is None
-        else:
-            assert frontier == 1.0
 
 
 class TestSceneProviderRouting:

@@ -14,9 +14,15 @@ import math
 import numpy as np
 import pytest
 
+from repro.planning.collision import TIME_TOLERANCE_S
 from repro.planning.mpc import MpcPlanner
 from repro.planning.prediction import TrackedObject, predict_constant_velocity
-from repro.runtime.batched import drive_batch, plan_requests
+from repro.runtime import kernels
+from repro.runtime.batched import (
+    _prediction_block_count,
+    drive_batch,
+    plan_requests,
+)
 from repro.runtime.sov import PlanRequest
 from repro.scene.corridors import make_corridor_sov
 from repro.scene.lanes import straight_corridor
@@ -40,15 +46,28 @@ def _request(state, predictions=(), obstacles=(), now_s=0.0) -> PlanRequest:
     )
 
 
-def _sov_on(lane_map):
+def _sov_on(lane_map, model=None, lookahead_m=4.0):
     """A minimal sov-shaped holder for plan_requests (planner only)."""
 
     class _Holder:
         pass
 
     holder = _Holder()
-    holder.planner = MpcPlanner(lane_map=lane_map, model=BicycleModel())
+    holder.planner = MpcPlanner(
+        lane_map=lane_map,
+        model=model or BicycleModel(),
+        lookahead_m=lookahead_m,
+    )
     return holder
+
+
+def _objects():
+    return [
+        TrackedObject(object_id=1, x_m=20.0, y_m=0.5, vx_mps=-1.0,
+                      vy_mps=0.0, radius_m=0.5),
+        TrackedObject(object_id=2, x_m=35.0, y_m=-0.5, vx_mps=0.0,
+                      vy_mps=0.2, radius_m=0.4),
+    ]
 
 
 def test_plan_requests_matches_scalar_plan():
@@ -88,15 +107,8 @@ def test_plan_requests_with_predictions_matches_scalar():
     lane_map = straight_corridor(length_m=150.0, n_lanes=2)
     sov = _sov_on(lane_map)
     planner = sov.planner
-    steps = int(round(planner.horizon_s / planner.dt_s))
-    objects = [
-        TrackedObject(object_id=1, x_m=20.0, y_m=0.5, vx_mps=-1.0,
-                      vy_mps=0.0, radius_m=0.5),
-        TrackedObject(object_id=2, x_m=35.0, y_m=-0.5, vx_mps=0.0,
-                      vy_mps=0.2, radius_m=0.4),
-    ]
     predictions = predict_constant_velocity(
-        objects, horizon_s=planner.horizon_s, dt_s=planner.dt_s
+        _objects(), horizon_s=planner.horizon_s, dt_s=planner.dt_s
     )
     state = VehicleState(x_m=5.0, speed_mps=4.0)
     request = _request(state, predictions=predictions)
@@ -105,6 +117,53 @@ def test_plan_requests_with_predictions_matches_scalar():
         state, predictions=predictions, static_obstacles=[], now_s=0.0
     ).command
     assert command == ref
+
+
+def test_plan_requests_mixed_models_and_lookaheads_match_scalar():
+    """Fast-path planners that differ in model or lookahead share one
+    round; each request still gets its own planner's command."""
+    rng = np.random.default_rng(11)
+    lane_map = straight_corridor(length_m=150.0, n_lanes=3)
+    holders = [
+        _sov_on(lane_map, model, lookahead_m)
+        for model in (BicycleModel(), BicycleModel(wheelbase_m=3.2))
+        for lookahead_m in (4.0, 6.0)
+    ]
+    predictions = predict_constant_velocity(
+        _objects(), horizon_s=MpcPlanner.horizon_s, dt_s=MpcPlanner.dt_s
+    )
+    items = []
+    for i in range(24):
+        state = VehicleState(
+            x_m=float(rng.uniform(0.0, 100.0)),
+            y_m=float(rng.uniform(-1.0, 6.0)),
+            heading_rad=float(rng.uniform(-0.4, 0.4)),
+            speed_mps=float(rng.uniform(0.0, 6.0)),
+        )
+        preds = predictions if i % 3 == 0 else []
+        items.append((holders[i % 4], _request(state, predictions=preds)))
+    batched = plan_requests(items)
+    for (holder, request), command in zip(items, batched):
+        ref = holder.planner.plan(
+            request.state,
+            predictions=request.predictions,
+            static_obstacles=request.obstacles,
+            now_s=request.now_s,
+        ).command
+        assert command == ref
+
+
+def test_prediction_grid_is_the_stepper_grid():
+    # Distinct grid instants never share a check_trajectory time window,
+    # so pairing prediction block k with trajectory point k is exact.
+    assert MpcPlanner.dt_s > 1.5 * TIME_TOLERANCE_S
+    objects = _objects()
+    predictions = predict_constant_velocity(
+        objects, horizon_s=MpcPlanner.horizon_s, dt_s=MpcPlanner.dt_s
+    )
+    times = [p.time_s for p in predictions[:: len(objects)]]
+    assert times == list(kernels.HORIZON_TIMES)
+    assert _prediction_block_count(predictions) == len(objects)
 
 
 def test_plan_requests_off_map_emergency():

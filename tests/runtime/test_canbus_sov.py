@@ -40,10 +40,6 @@ class TestCanBus:
         assert [m.payload for m in delivered] == ["a", "b"]
         assert bus.pending == 0
 
-    def test_invalid_bit_rate(self):
-        with pytest.raises(ValueError):
-            CanBus(bit_rate_bps=0.0)
-
     def test_contention_preserves_send_order(self):
         # A burst of frames sent in the same instant serializes strictly
         # in send order, each one frame-time after the previous.

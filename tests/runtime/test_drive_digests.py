@@ -15,16 +15,13 @@ agents follow scripts (``ScriptedWorld``).
 
 The table changes only with an intended behaviour change; print a new
 one with ``PYTHONPATH=src python tests/runtime/test_drive_digests.py``.
-The values hold for CPython 3.10 and later: ``math.hypot``, which every
-sub-step calls for distance and clearance, has rounded differently
-since 3.10 (on 3.9 about a third of its results differ), so on 3.9
-the file is skipped and the differential tests still hold the two
-engines to each other.
+The values hold for CPython 3.10 and later, the versions the package
+supports: ``math.hypot``, which every sub-step calls for distance and
+clearance, rounds differently before 3.10.
 """
 
 from __future__ import annotations
 
-import sys
 import zlib
 from typing import Callable, Dict, List, Tuple
 
@@ -39,11 +36,6 @@ from repro.scene.corridors import (
 )
 from repro.scene.procgen import DEFAULT_SPACE, ScriptedWorld
 from repro.testing.invariants import drive_fingerprint
-
-pytestmark = pytest.mark.skipif(
-    sys.version_info < (3, 10),
-    reason="digests pin CPython 3.10+ math.hypot rounding",
-)
 
 #: Every drive's simulated length: long enough for the reactive
 #: overrides and holds, and not a multiple of the 0.1-s control period,

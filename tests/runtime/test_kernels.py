@@ -73,10 +73,7 @@ def test_exact_ufuncs_broadcast():
 def test_lane_progress_matches_scalar(rng):
     planner = _planner()
     segments = [_random_segment(rng, n) for n in (2, 3, 5, 9)]
-    pad = max(len(s.centerline) - 1 for s in segments)
-    lanes = kernels.stack_lanes(
-        [kernels.lane_soa(s, pad_to=pad) for s in segments]
-    )
+    lanes = kernels.lane_batch(segments)
     x = rng.uniform(-5.0, 60.0, size=len(segments))
     y = rng.uniform(-10.0, 10.0, size=len(segments))
     got = kernels.lane_progress_batch(lanes, x, y)
@@ -86,10 +83,7 @@ def test_lane_progress_matches_scalar(rng):
 
 def test_point_at_matches_scalar(rng):
     segments = [_random_segment(rng, n) for n in (2, 4, 7)]
-    pad = max(len(s.centerline) - 1 for s in segments)
-    lanes = kernels.stack_lanes(
-        [kernels.lane_soa(s, pad_to=pad) for s in segments]
-    )
+    lanes = kernels.lane_batch(segments)
     for s_query in (-1.0, 0.0, 0.3, 5.0, 17.0, 1e4):
         s = np.full(len(segments), s_query)
         px, py = kernels.point_at_batch(lanes, s)
@@ -104,10 +98,7 @@ def test_point_at_matches_scalar(rng):
 def test_pure_pursuit_steer_matches_scalar(rng):
     planner = _planner()
     segments = [_random_segment(rng, n) for n in (2, 3, 6)]
-    pad = max(len(s.centerline) - 1 for s in segments)
-    lanes = kernels.stack_lanes(
-        [kernels.lane_soa(s, pad_to=pad) for s in segments]
-    )
+    lanes = kernels.lane_batch(segments)
     x = rng.uniform(0.0, 30.0, size=3)
     y = rng.uniform(-3.0, 3.0, size=3)
     heading = rng.uniform(-math.pi, math.pi, size=3)
@@ -133,11 +124,7 @@ def test_bicycle_step_matches_scalar(rng):
     steer = rng.uniform(-1.0, 1.0, n)
     accel = rng.uniform(-model.max_decel_mps2, model.max_accel_mps2, n)
     nx, ny, nh, nv = kernels.bicycle_step_batch(
-        x, y, heading, speed, steer, accel,
-        dt_s=0.1,
-        wheelbase_m=model.wheelbase_m,
-        max_speed_mps=model.max_speed_mps,
-        max_steer_rad=model.max_steer_rad,
+        x, y, heading, speed, steer, accel, model, dt_s=0.1
     )
     for i in range(n):
         state = VehicleState(
@@ -163,9 +150,7 @@ def test_rollout_matches_scalar(rng):
     lane = planner.lane_map.segment("lane0")
     accels = np.array([-3.0, -1.0, 0.0, 1.0, 2.0])
     state = VehicleState(x_m=3.0, y_m=0.2, heading_rad=0.05, speed_mps=4.0)
-    steps = int(round(planner.horizon_s / planner.dt_s))
-    soa = kernels.lane_soa(lane)
-    lanes = kernels.stack_lanes([soa] * len(accels))
+    lanes = kernels.lane_batch([lane] * len(accels))
     b = len(accels)
     tx, ty, tspeed, steer0 = kernels.rollout_batch(
         lanes,
@@ -174,14 +159,8 @@ def test_rollout_matches_scalar(rng):
         np.full(b, state.heading_rad),
         np.full(b, state.speed_mps),
         accels,
-        steps=steps,
-        dt_s=planner.dt_s,
-        lookahead_m=planner.lookahead_m,
-        wheelbase_m=planner.model.wheelbase_m,
-        max_speed_mps=planner.model.max_speed_mps,
-        max_steer_rad=planner.model.max_steer_rad,
-        max_accel_mps2=planner.model.max_accel_mps2,
-        max_decel_mps2=planner.model.max_decel_mps2,
+        planner.model,
+        planner.lookahead_m,
     )
     for i, accel in enumerate(accels):
         ref = planner._rollout(state, lane, float(accel))
@@ -296,28 +275,6 @@ def test_cost_matches_scalar(rng):
             tx[None], tspeed[None],
             np.array([accel]), np.array([is_change]),
             np.array([collides]), np.array([ttc]),
-            target_speed_mps=planner.target_speed_mps,
-            progress_weight=planner.progress_weight,
-            comfort_weight=planner.comfort_weight,
-            speed_error_weight=planner.speed_error_weight,
-            lane_change_penalty=planner.lane_change_penalty,
-            collision_cost=planner.collision_cost,
-            max_decel_mps2=planner.model.max_decel_mps2,
         )
         assert float(got[0]) == ref
 
-
-# -- obstacle clearances -------------------------------------------------------
-
-
-def test_obstacle_clearances_match_scalar(rng):
-    x = rng.uniform(-5, 5, 6)
-    y = rng.uniform(-5, 5, 6)
-    ox = rng.uniform(-5, 5, 4)
-    oy = rng.uniform(-5, 5, 4)
-    orr = rng.uniform(0.1, 1.0, 4)
-    got = kernels.obstacle_clearances_batch(x, y, ox, oy, orr)
-    for i in range(6):
-        for j in range(4):
-            ref = math.hypot(x[i] - ox[j], y[i] - oy[j]) - orr[j]
-            assert got[i, j] == ref

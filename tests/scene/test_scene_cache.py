@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.scene.cache import (
@@ -60,15 +59,17 @@ def test_mutated_map_misses_cache():
     assert "spur" in after.row_of
 
 
-def test_lanes_for_gathers_correct_rows():
+def test_lanes_hold_one_row_per_segment_in_map_order():
     lane_map = _map_with(n_lanes=3)
     cache = cache_for(lane_map)
-    batch = cache.lanes_for(["lane2", "lane0", "lane2"])
-    assert batch.width == 3
-    # lane i is offset i * lane_width in y.
-    assert batch.ay[0, 0] == cache.ay[cache.row_of["lane2"], 0]
-    assert batch.ay[1, 0] == cache.ay[cache.row_of["lane0"], 0]
-    np.testing.assert_array_equal(batch.ax[0], batch.ax[2])
+    sids = lane_map.segment_ids
+    assert cache.lanes.width == 3
+    assert [cache.row_of[sid] for sid in sids] == [0, 1, 2]
+    assert cache.lanes.segments == tuple(lane_map.segment(s) for s in sids)
+    for row, sid in enumerate(sids):
+        # lane i is offset i * lane_width in y.
+        start = lane_map.segment(sid).centerline[0]
+        assert (cache.lanes.ax[row, 0], cache.lanes.ay[row, 0]) == start
 
 
 def test_candidates_follow_lane_change_edges():

@@ -1,8 +1,10 @@
-"""Settings guard: every field of the drive and campaign configs is set
-by some caller.
+"""Settings guard: every field of the drive and campaign configs, the
+planner, the reactive path and the vehicle model is set by some caller.
 
 A field that no caller outside its own module passes is a constant
 that tests and benchmarks never vary; it belongs in the code as one.
+Only ``init`` fields are settings: a field the constructor does not
+take (``ReactivePath.triggers``) is state.
 """
 
 import ast
@@ -14,13 +16,28 @@ from collections import defaultdict
 import pytest
 
 from repro.fleetops.supervisor import FleetConfig
+from repro.planning.mpc import MpcPlanner
+from repro.planning.reactive import ReactivePath
 from repro.runtime.shedding import LoadShedPolicy
 from repro.runtime.sov import SovConfig
 from repro.triage.campaign import TriageCampaignConfig
+from repro.vehicle.dynamics import BicycleModel
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCANNED = ("src", "examples", "benchmarks", "perfbench", "tests")
-CONFIGS = (SovConfig, FleetConfig, LoadShedPolicy, TriageCampaignConfig)
+CONFIGS = (
+    SovConfig,
+    FleetConfig,
+    LoadShedPolicy,
+    TriageCampaignConfig,
+    MpcPlanner,
+    ReactivePath,
+    BicycleModel,
+)
+
+
+def _settings(config) -> list:
+    return [f.name for f in dataclasses.fields(config) if f.init]
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +67,7 @@ def test_every_field_is_passed_outside_its_module(config, keywords_by_call):
     for path, keywords in keywords_by_call[config.__name__].items():
         if path != home:
             passed |= keywords
-    unset = [f.name for f in dataclasses.fields(config) if f.name not in passed]
+    unset = [name for name in _settings(config) if name not in passed]
     assert not unset, (
         f"no constructor call of {config.__name__} outside "
         f"{home.name} passes {unset}: make them constants"
@@ -61,7 +78,7 @@ def test_every_field_is_passed_outside_its_module(config, keywords_by_call):
 def test_every_keyword_passed_is_a_field(config, keywords_by_call):
     # Examples and experiments that tier-1 does not run must not pass
     # a field that is gone.
-    fields = {f.name for f in dataclasses.fields(config)}
+    fields = set(_settings(config))
     unknown = {
         path.relative_to(REPO).as_posix(): sorted(keywords - fields)
         for path, keywords in keywords_by_call[config.__name__].items()

@@ -204,10 +204,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             BicycleModel(wheelbase_m=0.0)
 
-    def test_bad_limits(self):
-        with pytest.raises(ValueError):
-            BicycleModel(max_speed_mps=0.0)
-
     def test_bad_command_source(self):
         with pytest.raises(ValueError):
             ControlCommand(source="psychic")
