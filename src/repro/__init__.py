@@ -53,39 +53,23 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import (
-    cloud,
-    core,
-    fleetops,
-    hw,
-    lidar,
-    observability,
-    perception,
-    planning,
-    robustness,
-    runtime,
-    scene,
-    sensors,
-    sync,
-    testing,
-    vehicle,
-)
+from ._lazy import lazy_exports
 
-__all__ = [
-    "cloud",
-    "core",
-    "fleetops",
-    "hw",
-    "lidar",
-    "observability",
-    "perception",
-    "planning",
-    "robustness",
-    "runtime",
-    "scene",
-    "sensors",
-    "sync",
-    "testing",
-    "vehicle",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cloud": ("cloud",),
+    "core": ("core",),
+    "fleetops": ("fleetops",),
+    "hw": ("hw",),
+    "lidar": ("lidar",),
+    "observability": ("observability",),
+    "perception": ("perception",),
+    "planning": ("planning",),
+    "robustness": ("robustness",),
+    "runtime": ("runtime",),
+    "scene": ("scene",),
+    "sensors": ("sensors",),
+    "sync": ("sync",),
+    "testing": ("testing",),
+    "vehicle": ("vehicle",),
+})
+__all__.append("__version__")

@@ -6,94 +6,30 @@ resilient uplink client), and :mod:`.ingestion` (the cloud-side
 at-least-once service plus the fleet campaign driving both ends).
 """
 
-from .client import (
-    CircuitBreaker,
-    ClientReport,
-    ResilientUplinkClient,
-    RetryPolicy,
-    UplinkEnvelope,
-    UplinkQueue,
-    WireDecodeError,
-)
-from .compression import (
-    CondensedLog,
-    compress_frame,
-    compression_ratio,
-    condense_log,
-    daily_raw_volume_bytes,
-    decompress_frame,
-)
-from .ingestion import (
-    IngestCampaignConfig,
-    IngestCampaignResult,
-    IngestionService,
-    IngestReport,
-    TelemetrySession,
-    intensity_sweep,
-    run_ingest_campaign,
-)
-from .maps import DriveObservation, MapGenerationService, MapUpdate
-from .network import (
-    LinkFaultProfile,
-    LossyLink,
-    NetworkFaultSpace,
-    payload_checksum,
-    sample_cell_faults,
-)
-from .training import (
-    PAPER_DEPLOYMENTS,
-    ModelTrainingService,
-    ModelVersion,
-)
-from .uplink import (
-    DataClass,
-    Link,
-    OnboardStorage,
-    UplinkDecision,
-    cellular_link,
-    depot_link,
-    paper_data_classes,
-    plan_uplink,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CircuitBreaker",
-    "ClientReport",
-    "CondensedLog",
-    "DataClass",
-    "DriveObservation",
-    "IngestCampaignConfig",
-    "IngestCampaignResult",
-    "IngestReport",
-    "IngestionService",
-    "Link",
-    "LinkFaultProfile",
-    "LossyLink",
-    "MapGenerationService",
-    "MapUpdate",
-    "ModelTrainingService",
-    "ModelVersion",
-    "NetworkFaultSpace",
-    "OnboardStorage",
-    "PAPER_DEPLOYMENTS",
-    "ResilientUplinkClient",
-    "RetryPolicy",
-    "TelemetrySession",
-    "UplinkDecision",
-    "UplinkEnvelope",
-    "UplinkQueue",
-    "WireDecodeError",
-    "cellular_link",
-    "compress_frame",
-    "compression_ratio",
-    "condense_log",
-    "daily_raw_volume_bytes",
-    "decompress_frame",
-    "depot_link",
-    "intensity_sweep",
-    "paper_data_classes",
-    "payload_checksum",
-    "plan_uplink",
-    "run_ingest_campaign",
-    "sample_cell_faults",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "client": (
+        "CircuitBreaker", "ClientReport", "ResilientUplinkClient",
+        "RetryPolicy", "UplinkEnvelope", "UplinkQueue", "WireDecodeError",
+    ),
+    "compression": (
+        "CondensedLog", "compress_frame", "compression_ratio", "condense_log",
+        "daily_raw_volume_bytes", "decompress_frame",
+    ),
+    "ingestion": (
+        "IngestCampaignConfig", "IngestCampaignResult", "IngestionService",
+        "IngestReport", "TelemetrySession", "intensity_sweep",
+        "run_ingest_campaign",
+    ),
+    "maps": ("DriveObservation", "MapGenerationService", "MapUpdate"),
+    "network": (
+        "LinkFaultProfile", "LossyLink", "NetworkFaultSpace",
+        "payload_checksum", "sample_cell_faults",
+    ),
+    "training": ("PAPER_DEPLOYMENTS", "ModelTrainingService", "ModelVersion"),
+    "uplink": (
+        "DataClass", "Link", "OnboardStorage", "UplinkDecision",
+        "cellular_link", "depot_link", "paper_data_classes", "plan_uplink",
+    ),
+})

@@ -9,83 +9,28 @@ Public surface:
 * :mod:`repro.core.calibration` — every constant the paper reports.
 """
 
-from .calibration import TaskPlatformProfile, task_profile
-from .fleet import ComputeTier, FleetTcoModel, paper_compute_tiers
-from .thermal import (
-    CoolingSolution,
-    ThermalModel,
-    conventional_fans,
-    cooling_comparison,
-    liquid_cooling,
-    passive_cooling,
-)
-from .constraints import ConstraintResult, ConstraintSet, DesignCandidate
-from .cost_model import (
-    BillOfMaterials,
-    CostItem,
-    TcoModel,
-    VehicleCost,
-    camera_vehicle_sensors,
-    cost_comparison,
-    lidar_vehicle_sensors,
-    paper_camera_vehicle,
-    paper_lidar_vehicle,
-)
-from .energy_model import (
-    EnergyModel,
-    PowerComponent,
-    PowerInventory,
-    Scenario,
-    fig3b_scenarios,
-    paper_ad_inventory,
-    waymo_lidar_bank,
-)
-from .latency_model import (
-    LatencyBreakdown,
-    LatencyModel,
-    LatencyRequirementPoint,
-    computing_fraction,
-    end_to_end_latency_s,
-    paper_breakdown_best,
-    paper_breakdown_mean,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BillOfMaterials",
-    "ComputeTier",
-    "ConstraintResult",
-    "CoolingSolution",
-    "ConstraintSet",
-    "CostItem",
-    "DesignCandidate",
-    "EnergyModel",
-    "FleetTcoModel",
-    "LatencyBreakdown",
-    "LatencyModel",
-    "LatencyRequirementPoint",
-    "PowerComponent",
-    "PowerInventory",
-    "Scenario",
-    "TaskPlatformProfile",
-    "TcoModel",
-    "ThermalModel",
-    "VehicleCost",
-    "camera_vehicle_sensors",
-    "computing_fraction",
-    "conventional_fans",
-    "cooling_comparison",
-    "cost_comparison",
-    "end_to_end_latency_s",
-    "fig3b_scenarios",
-    "lidar_vehicle_sensors",
-    "liquid_cooling",
-    "paper_ad_inventory",
-    "passive_cooling",
-    "paper_breakdown_best",
-    "paper_breakdown_mean",
-    "paper_camera_vehicle",
-    "paper_compute_tiers",
-    "paper_lidar_vehicle",
-    "task_profile",
-    "waymo_lidar_bank",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "calibration": ("TaskPlatformProfile", "task_profile"),
+    "fleet": ("ComputeTier", "FleetTcoModel", "paper_compute_tiers"),
+    "thermal": (
+        "CoolingSolution", "ThermalModel", "conventional_fans",
+        "cooling_comparison", "liquid_cooling", "passive_cooling",
+    ),
+    "constraints": ("ConstraintResult", "ConstraintSet", "DesignCandidate"),
+    "cost_model": (
+        "BillOfMaterials", "CostItem", "TcoModel", "VehicleCost",
+        "camera_vehicle_sensors", "cost_comparison", "lidar_vehicle_sensors",
+        "paper_camera_vehicle", "paper_lidar_vehicle",
+    ),
+    "energy_model": (
+        "EnergyModel", "PowerComponent", "PowerInventory", "Scenario",
+        "fig3b_scenarios", "paper_ad_inventory", "waymo_lidar_bank",
+    ),
+    "latency_model": (
+        "LatencyBreakdown", "LatencyModel", "LatencyRequirementPoint",
+        "computing_fraction", "end_to_end_latency_s", "paper_breakdown_best",
+        "paper_breakdown_mean",
+    ),
+})

@@ -38,46 +38,17 @@ survive the failures that come with it.  The pieces:
     :mod:`repro.core.fleet`, and the generated-scene campaign.
 """
 
-from .cells import (
-    CellResult,
-    CellSpec,
-    ChaosCell,
-    DrillCell,
-    InvariantCell,
-    chaos_cells,
-    drill_cells,
-    invariant_cells,
-    run_cell,
-)
-from .injection import (
-    WorkerFaultPlan,
-    corrupt_journal_record,
-    truncate_journal_tail,
-)
-from .journal import CampaignJournal, JournalState, load_journal
-from .supervisor import FleetConfig, FleetRunReport, FleetSupervisor
-from .campaign import FleetRollup, fleet_summary, rollup_fleet
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CellResult",
-    "CellSpec",
-    "ChaosCell",
-    "DrillCell",
-    "InvariantCell",
-    "chaos_cells",
-    "drill_cells",
-    "invariant_cells",
-    "run_cell",
-    "WorkerFaultPlan",
-    "corrupt_journal_record",
-    "truncate_journal_tail",
-    "CampaignJournal",
-    "JournalState",
-    "load_journal",
-    "FleetConfig",
-    "FleetRunReport",
-    "FleetSupervisor",
-    "FleetRollup",
-    "fleet_summary",
-    "rollup_fleet",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cells": (
+        "CellResult", "CellSpec", "ChaosCell", "DrillCell", "InvariantCell",
+        "chaos_cells", "drill_cells", "invariant_cells", "run_cell",
+    ),
+    "injection": (
+        "WorkerFaultPlan", "corrupt_journal_record", "truncate_journal_tail",
+    ),
+    "journal": ("CampaignJournal", "JournalState", "load_journal"),
+    "supervisor": ("FleetConfig", "FleetRunReport", "FleetSupervisor"),
+    "campaign": ("FleetRollup", "fleet_summary", "rollup_fleet"),
+})

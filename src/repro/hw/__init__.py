@@ -1,136 +1,40 @@
 """Hardware platform substrate: caches, platforms, mapping, FPGA, RPR."""
 
-from .cache import (
-    CacheConfig,
-    CacheSimulator,
-    CacheStats,
-    coffee_lake_llc,
-    normalized_memory_traffic,
-    small_llc,
-)
-from .contention import ContentionModel, gpu_contention_model
-from .fpga import (
-    AcceleratorBlock,
-    FpgaDevice,
-    ResourceVector,
-    hardware_synchronizer_block,
-    localization_accelerator,
-    paper_fpga_floorplan,
-    rpr_engine_block,
-    spatial_sharing_cost,
-)
-from .mapping import (
-    MappingResult,
-    OffloadImpact,
-    best_mapping,
-    enumerate_mappings,
-    evaluate_mapping,
-    fpga_offload_impact,
-    localization_alone_s,
-    scene_understanding_alone_s,
-)
-from .platforms import (
-    PERCEPTION_TASKS,
-    PLATFORMS,
-    ComparisonRow,
-    Platform,
-    all_platforms,
-    automotive_asic_platform,
-    cpu_platform,
-    evaluate_sensor_hub,
-    fig6_comparison,
-    fpga_platform,
-    gpu_platform,
-    tx2_platform,
-)
-from .offload import (
-    OffloadDecision,
-    OffloadTarget,
-    avoidance_range_with_offload,
-    cloud_datacenter,
-    edge_server,
-    evaluate_offload,
-    offload_plan,
-)
-from .roofline import (
-    Roofline,
-    RooflinePoint,
-    Workload,
-    lidar_acceleration_gap,
-    paper_rooflines,
-    paper_workloads,
-    roofline_analysis,
-)
-from .rpr import (
-    Bitstream,
-    RprEngine,
-    RprEngineConfig,
-    RprEvent,
-    RprManager,
-    conventional_dma_reconfiguration,
-    cpu_driven_reconfiguration,
-    hourly_task_swap_overhead,
-    paper_localization_variants,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AcceleratorBlock",
-    "Bitstream",
-    "CacheConfig",
-    "CacheSimulator",
-    "CacheStats",
-    "ComparisonRow",
-    "ContentionModel",
-    "FpgaDevice",
-    "MappingResult",
-    "OffloadImpact",
-    "PERCEPTION_TASKS",
-    "PLATFORMS",
-    "Platform",
-    "ResourceVector",
-    "Roofline",
-    "RooflinePoint",
-    "Workload",
-    "RprEngine",
-    "RprEngineConfig",
-    "RprEvent",
-    "RprManager",
-    "all_platforms",
-    "automotive_asic_platform",
-    "best_mapping",
-    "coffee_lake_llc",
-    "conventional_dma_reconfiguration",
-    "cpu_driven_reconfiguration",
-    "hourly_task_swap_overhead",
-    "OffloadDecision",
-    "OffloadTarget",
-    "avoidance_range_with_offload",
-    "cloud_datacenter",
-    "edge_server",
-    "evaluate_offload",
-    "offload_plan",
-    "cpu_platform",
-    "enumerate_mappings",
-    "evaluate_mapping",
-    "evaluate_sensor_hub",
-    "fig6_comparison",
-    "fpga_offload_impact",
-    "fpga_platform",
-    "gpu_contention_model",
-    "gpu_platform",
-    "hardware_synchronizer_block",
-    "localization_accelerator",
-    "lidar_acceleration_gap",
-    "localization_alone_s",
-    "normalized_memory_traffic",
-    "paper_fpga_floorplan",
-    "paper_rooflines",
-    "paper_workloads",
-    "roofline_analysis",
-    "paper_localization_variants",
-    "rpr_engine_block",
-    "scene_understanding_alone_s",
-    "small_llc",
-    "spatial_sharing_cost",
-    "tx2_platform",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": (
+        "CacheConfig", "CacheSimulator", "CacheStats", "coffee_lake_llc",
+        "normalized_memory_traffic", "small_llc",
+    ),
+    "contention": ("ContentionModel", "gpu_contention_model"),
+    "fpga": (
+        "AcceleratorBlock", "FpgaDevice", "ResourceVector",
+        "hardware_synchronizer_block", "localization_accelerator",
+        "paper_fpga_floorplan", "rpr_engine_block", "spatial_sharing_cost",
+    ),
+    "mapping": (
+        "MappingResult", "OffloadImpact", "best_mapping", "enumerate_mappings",
+        "evaluate_mapping", "fpga_offload_impact", "localization_alone_s",
+        "scene_understanding_alone_s",
+    ),
+    "platforms": (
+        "PERCEPTION_TASKS", "PLATFORMS", "ComparisonRow", "Platform",
+        "all_platforms", "automotive_asic_platform", "cpu_platform",
+        "evaluate_sensor_hub", "fig6_comparison", "fpga_platform",
+        "gpu_platform", "tx2_platform",
+    ),
+    "offload": (
+        "OffloadDecision", "OffloadTarget", "avoidance_range_with_offload",
+        "cloud_datacenter", "edge_server", "evaluate_offload", "offload_plan",
+    ),
+    "roofline": (
+        "Roofline", "RooflinePoint", "Workload", "lidar_acceleration_gap",
+        "paper_rooflines", "paper_workloads", "roofline_analysis",
+    ),
+    "rpr": (
+        "Bitstream", "RprEngine", "RprEngineConfig", "RprEvent", "RprManager",
+        "conventional_dma_reconfiguration", "cpu_driven_reconfiguration",
+        "hourly_task_swap_overhead", "paper_localization_variants",
+    ),
+})

@@ -1,36 +1,15 @@
 """LiDAR case-study substrate: clouds, kd-tree, ICP, kernels, reuse."""
 
-from .kdtree import AccessTrace, KdTree
-from .kernels import (
-    ALL_KERNELS,
-    KernelResult,
-    localization_kernel,
-    recognition_kernel,
-    reconstruction_kernel,
-    run_kernel,
-    segmentation_kernel,
-)
-from .pointcloud import Box, PointCloud, rotation_z, simulate_lidar_scan
-from .registration import IcpResult, icp
-from .reuse import ReuseHistogram, distribution_divergence, reuse_histogram
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_KERNELS",
-    "AccessTrace",
-    "Box",
-    "IcpResult",
-    "KdTree",
-    "KernelResult",
-    "PointCloud",
-    "ReuseHistogram",
-    "distribution_divergence",
-    "icp",
-    "localization_kernel",
-    "recognition_kernel",
-    "reconstruction_kernel",
-    "reuse_histogram",
-    "rotation_z",
-    "run_kernel",
-    "segmentation_kernel",
-    "simulate_lidar_scan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "kdtree": ("AccessTrace", "KdTree"),
+    "kernels": (
+        "ALL_KERNELS", "KernelResult", "localization_kernel",
+        "recognition_kernel", "reconstruction_kernel", "run_kernel",
+        "segmentation_kernel",
+    ),
+    "pointcloud": ("Box", "PointCloud", "rotation_z", "simulate_lidar_scan"),
+    "registration": ("IcpResult", "icp"),
+    "reuse": ("ReuseHistogram", "distribution_divergence", "reuse_histogram"),
+})

@@ -31,44 +31,17 @@ allocates nothing on the hot path, consumes no extra randomness, and is
 bit-identical to the uninstrumented loop (asserted by test).
 """
 
-from .attribution import (
-    AttributionTable,
-    DeadlineMissAttributor,
-    MissRecord,
-    default_deadline_budget_s,
-    merge_attribution_tables,
-)
-from .metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
-from .regression import (
-    WORKLOADS,
-    BenchmarkSnapshot,
-    GateReport,
-    gate_against_baseline,
-    load_snapshot,
-    snapshot,
-    write_snapshot,
-)
-from .tracing import FrameTrace, Span, Tracer, validate_chrome_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AttributionTable",
-    "BenchmarkSnapshot",
-    "Counter",
-    "DeadlineMissAttributor",
-    "FrameTrace",
-    "Gauge",
-    "GateReport",
-    "MetricsRegistry",
-    "MissRecord",
-    "Span",
-    "StreamingHistogram",
-    "Tracer",
-    "WORKLOADS",
-    "default_deadline_budget_s",
-    "gate_against_baseline",
-    "load_snapshot",
-    "merge_attribution_tables",
-    "snapshot",
-    "validate_chrome_trace",
-    "write_snapshot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "attribution": (
+        "AttributionTable", "DeadlineMissAttributor", "MissRecord",
+        "default_deadline_budget_s", "merge_attribution_tables",
+    ),
+    "metrics": ("Counter", "Gauge", "MetricsRegistry", "StreamingHistogram"),
+    "regression": (
+        "WORKLOADS", "BenchmarkSnapshot", "GateReport",
+        "gate_against_baseline", "load_snapshot", "snapshot", "write_snapshot",
+    ),
+    "tracing": ("FrameTrace", "Span", "Tracer", "validate_chrome_trace"),
+})

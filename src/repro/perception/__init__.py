@@ -1,86 +1,33 @@
 """Perception algorithms: stereo depth, detection, tracking, VIO, fusion."""
 
-from .depth_error import StereoSyncErrorModel, fig11a_curve
-from .detection import (
-    Detection,
-    LogisticModel,
-    SlidingWindowDetector,
-    build_training_set,
-    evaluate_detector,
-    hog_features,
-    patch_features,
-    make_scene,
-    non_max_suppression,
-    train_detector,
-)
-from .features import (
-    ImageFeature,
-    TrackResult,
-    extract_features,
-    track_feature,
-    track_features,
-)
-from .fusion import FusedEstimate, GpsVioFusion, run_fusion
-from .kcf import BoundingBox, KcfTracker
-from .radar_tracking import (
-    CameraProjection,
-    RadarTrack,
-    RadarTracker,
-    SpatialMatch,
-    spatial_synchronization,
-)
-from .frontend import FrontEndFrame, LocalizationFrontEnd
-from .tracking_manager import TrackedTarget, TrackingManager, TrackingModeStats
-from .stereo import ElasLikeMatcher, StereoResult, depth_error_from_pair
-from .vio import (
-    CameraImuSyncErrorModel,
-    RelativeMotion,
-    VioEstimate,
-    VisualInertialOdometry,
-    estimate_relative_motion,
-    trajectory_error_m,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BoundingBox",
-    "CameraImuSyncErrorModel",
-    "CameraProjection",
-    "Detection",
-    "ElasLikeMatcher",
-    "FrontEndFrame",
-    "FusedEstimate",
-    "GpsVioFusion",
-    "ImageFeature",
-    "KcfTracker",
-    "LocalizationFrontEnd",
-    "LogisticModel",
-    "RadarTrack",
-    "RadarTracker",
-    "RelativeMotion",
-    "SlidingWindowDetector",
-    "SpatialMatch",
-    "StereoResult",
-    "StereoSyncErrorModel",
-    "TrackedTarget",
-    "TrackingManager",
-    "TrackingModeStats",
-    "TrackResult",
-    "VioEstimate",
-    "VisualInertialOdometry",
-    "build_training_set",
-    "depth_error_from_pair",
-    "estimate_relative_motion",
-    "evaluate_detector",
-    "extract_features",
-    "fig11a_curve",
-    "hog_features",
-    "patch_features",
-    "make_scene",
-    "non_max_suppression",
-    "run_fusion",
-    "spatial_synchronization",
-    "track_feature",
-    "track_features",
-    "trajectory_error_m",
-    "train_detector",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "depth_error": ("StereoSyncErrorModel", "fig11a_curve"),
+    "detection": (
+        "Detection", "LogisticModel", "SlidingWindowDetector",
+        "build_training_set", "evaluate_detector", "hog_features",
+        "patch_features", "make_scene", "non_max_suppression",
+        "train_detector",
+    ),
+    "features": (
+        "ImageFeature", "TrackResult", "extract_features", "track_feature",
+        "track_features",
+    ),
+    "fusion": ("FusedEstimate", "GpsVioFusion", "run_fusion"),
+    "kcf": ("BoundingBox", "KcfTracker"),
+    "radar_tracking": (
+        "CameraProjection", "RadarTrack", "RadarTracker", "SpatialMatch",
+        "spatial_synchronization",
+    ),
+    "frontend": ("FrontEndFrame", "LocalizationFrontEnd"),
+    "tracking_manager": (
+        "TrackedTarget", "TrackingManager", "TrackingModeStats",
+    ),
+    "stereo": ("ElasLikeMatcher", "StereoResult", "depth_error_from_pair"),
+    "vio": (
+        "CameraImuSyncErrorModel", "RelativeMotion", "VioEstimate",
+        "VisualInertialOdometry", "estimate_relative_motion",
+        "trajectory_error_m",
+    ),
+})

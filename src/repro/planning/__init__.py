@@ -1,29 +1,14 @@
 """Planning: lane-level MPC, EM baseline, collision, prediction, reactive."""
 
-from .collision import CollisionReport, TrajectoryPoint, check_trajectory
-from .em_planner import EmPlan, EmPlanner
-from .mpc import MpcPlanner, Plan, PlanCandidate
-from .prediction import (
-    PredictedState,
-    TrackedObject,
-    predict_constant_velocity,
-    predictions_at,
-)
-from .reactive import ReactiveDecision, ReactivePath
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CollisionReport",
-    "EmPlan",
-    "EmPlanner",
-    "MpcPlanner",
-    "Plan",
-    "PlanCandidate",
-    "PredictedState",
-    "ReactiveDecision",
-    "ReactivePath",
-    "TrackedObject",
-    "TrajectoryPoint",
-    "check_trajectory",
-    "predict_constant_velocity",
-    "predictions_at",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "collision": ("CollisionReport", "TrajectoryPoint", "check_trajectory"),
+    "em_planner": ("EmPlan", "EmPlanner"),
+    "mpc": ("MpcPlanner", "Plan", "PlanCandidate"),
+    "prediction": (
+        "PredictedState", "TrackedObject", "predict_constant_velocity",
+        "predictions_at",
+    ),
+    "reactive": ("ReactiveDecision", "ReactivePath"),
+})

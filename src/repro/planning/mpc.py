@@ -127,12 +127,7 @@ class MpcPlanner:
 
     def _adjacent_lanes(self, lane_id: str) -> List[str]:
         """Lanes reachable from *lane_id* via a lane-change edge."""
-        graph = self.lane_map._graph
-        return [
-            v
-            for _u, v, data in graph.out_edges(lane_id, data=True)
-            if data.get("lane_change")
-        ]
+        return self.lane_map.lane_changes(lane_id)
 
     def _lane_progress(self, lane: LaneSegment, x: float, y: float) -> float:
         """Approximate arc-length of the closest centerline point."""

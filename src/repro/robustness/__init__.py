@@ -15,52 +15,19 @@ re-exported here — chaos imports the runtime (which imports this
 package), so pull it in directly via ``import repro.robustness.chaos``.
 """
 
-from .degradation import (
-    DegradationMode,
-    DegradationPolicy,
-    DegradationStateMachine,
-    HealthInputs,
-    ModeTransition,
-)
-from .faults import (
-    CameraFrameDropFault,
-    CanBusFault,
-    EMPTY_SCENARIO,
-    FaultHarness,
-    FaultScenario,
-    FaultWindow,
-    GpsDenialFault,
-    LatencySpikeFault,
-    PerceptionCrashFault,
-    PerceptionStallFault,
-    SensorDropoutFault,
-    SensorFreezeFault,
-    SensorStuckValueFault,
-    SteeringBiasFault,
-)
-from .health import HealthMonitor, HealthReport, ModuleHealth
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CameraFrameDropFault",
-    "CanBusFault",
-    "DegradationMode",
-    "DegradationPolicy",
-    "DegradationStateMachine",
-    "EMPTY_SCENARIO",
-    "FaultHarness",
-    "FaultScenario",
-    "FaultWindow",
-    "GpsDenialFault",
-    "HealthInputs",
-    "HealthMonitor",
-    "HealthReport",
-    "LatencySpikeFault",
-    "ModeTransition",
-    "ModuleHealth",
-    "PerceptionCrashFault",
-    "PerceptionStallFault",
-    "SensorDropoutFault",
-    "SensorFreezeFault",
-    "SensorStuckValueFault",
-    "SteeringBiasFault",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "degradation": (
+        "DegradationMode", "DegradationPolicy", "DegradationStateMachine",
+        "HealthInputs", "ModeTransition",
+    ),
+    "faults": (
+        "CameraFrameDropFault", "CanBusFault", "EMPTY_SCENARIO",
+        "FaultHarness", "FaultScenario", "FaultWindow", "GpsDenialFault",
+        "LatencySpikeFault", "PerceptionCrashFault", "PerceptionStallFault",
+        "SensorDropoutFault", "SensorFreezeFault", "SensorStuckValueFault",
+        "SteeringBiasFault",
+    ),
+    "health": ("HealthMonitor", "HealthReport", "ModuleHealth"),
+})

@@ -4,42 +4,21 @@ Fault injection, health monitoring, and the degradation supervisor the
 closed loop consults live in :mod:`repro.robustness`.
 """
 
-from .alp import AlpExecutor, AlpReport, paper_assignment, paper_devices, single_device_assignment
-from .canbus import CanBus, CanMessage
-from .dataflow import LatencyDistribution, SovDataflow, Task, paper_dataflow
-from .sensor_hub import FpgaSensorHub
-from .scheduler import FrameTiming, PipelinedExecutor, PipelineReport
-from .shedding import LoadShedder, LoadShedPolicy, TickShed
-from .sov import (
-    DriveResult,
-    SovConfig,
-    SystemsOnAVehicle,
-    obstacle_ahead_scenario,
-)
-from .telemetry import LatencyStats, OperationsLog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AlpExecutor",
-    "AlpReport",
-    "CanBus",
-    "CanMessage",
-    "DriveResult",
-    "FpgaSensorHub",
-    "FrameTiming",
-    "LatencyDistribution",
-    "LatencyStats",
-    "LoadShedder",
-    "LoadShedPolicy",
-    "OperationsLog",
-    "PipelineReport",
-    "PipelinedExecutor",
-    "SovConfig",
-    "SovDataflow",
-    "SystemsOnAVehicle",
-    "Task",
-    "TickShed",
-    "obstacle_ahead_scenario",
-    "paper_assignment",
-    "paper_devices",
-    "single_device_assignment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "alp": (
+        "AlpExecutor", "AlpReport", "paper_assignment", "paper_devices",
+        "single_device_assignment",
+    ),
+    "canbus": ("CanBus", "CanMessage"),
+    "dataflow": ("LatencyDistribution", "SovDataflow", "Task"),
+    "sensor_hub": ("FpgaSensorHub",),
+    "scheduler": ("FrameTiming", "PipelinedExecutor", "PipelineReport"),
+    "shedding": ("LoadShedder", "LoadShedPolicy", "TickShed"),
+    "sov": (
+        "DriveResult", "SovConfig", "SystemsOnAVehicle",
+        "obstacle_ahead_scenario",
+    ),
+    "telemetry": ("LatencyStats", "OperationsLog"),
+})

@@ -22,8 +22,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..hw.contention import ContentionModel, gpu_contention_model
-from .dataflow import SovDataflow, paper_dataflow
+from ..hw.contention import gpu_contention_model
+from .dataflow import paper_dataflow
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,14 @@ class AlpExecutor:
 
     def __init__(
         self,
-        dataflow: Optional[SovDataflow] = None,
-        devices: Optional[Dict[str, Device]] = None,
         assignment: Optional[Mapping[str, str]] = None,
-        contention: Optional[ContentionModel] = None,
         frame_rate_hz: float = 10.0,
         seed: int = 0,
     ) -> None:
         if frame_rate_hz <= 0:
             raise ValueError("frame rate must be positive")
-        self.dataflow = dataflow or paper_dataflow()
-        self.devices = devices or paper_devices()
+        self.dataflow = paper_dataflow()
+        self.devices = paper_devices()
         self.assignment = dict(assignment or paper_assignment())
         unknown_tasks = set(self.assignment) - set(self.dataflow.task_names)
         if unknown_tasks:
@@ -123,7 +120,7 @@ class AlpExecutor:
         for device in self.assignment.values():
             if device not in self.devices:
                 raise ValueError(f"unknown device {device!r}")
-        self.contention = contention or gpu_contention_model()
+        self.contention = gpu_contention_model()
         self.frame_rate_hz = frame_rate_hz
         self._rng = np.random.default_rng(seed)
 
@@ -135,9 +132,7 @@ class AlpExecutor:
     def run(self, n_frames: int) -> AlpReport:
         if n_frames <= 0:
             raise ValueError("need at least one frame")
-        import networkx as nx
-
-        order = list(nx.topological_sort(self.dataflow._graph))
+        order = self.dataflow._topo
         device_free = {name: 0.0 for name in self.devices}
         executions: List[TaskExecution] = []
         frame_latencies: List[float] = []

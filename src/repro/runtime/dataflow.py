@@ -28,7 +28,6 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
 import numpy as np
 
 from ..core import calibration
@@ -94,39 +93,46 @@ class SovDataflow:
 
     def __init__(self, tasks: Sequence[Task], edges: Sequence[Tuple[str, str]]):
         self._tasks: Dict[str, Task] = {}
-        self._graph = nx.DiGraph()
+        #: name -> successors in edge order (a repeated edge keeps its
+        #: first place); ``predecessors`` likewise.
+        self._successors: Dict[str, Dict[str, None]] = {}
+        predecessors: Dict[str, Dict[str, None]] = {}
         for task in tasks:
             if task.name in self._tasks:
                 raise ValueError(f"duplicate task {task.name!r}")
             if task.stage not in self.STAGES:
                 raise ValueError(f"unknown stage {task.stage!r}")
             self._tasks[task.name] = task
-            self._graph.add_node(task.name)
+            self._successors[task.name] = {}
+            predecessors[task.name] = {}
         for u, v in edges:
             if u not in self._tasks or v not in self._tasks:
                 raise KeyError(f"edge ({u!r}, {v!r}) references unknown task")
-            self._graph.add_edge(u, v)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise ValueError("dataflow graph must be acyclic")
+            self._successors[u][v] = None
+            predecessors[v][u] = None
         # The graph never mutates after construction, so the traversal
         # structure every per-tick query re-derives (topological order,
-        # predecessor lists, per-stage subgraphs) is hoisted here.  The
-        # cached tuples are the *same enumeration order* networkx would
-        # produce per call, so order-dependent tie-breaks (first-max
-        # predecessor in critical_path) are bit-identical.
-        self._topo: Tuple[str, ...] = tuple(nx.topological_sort(self._graph))
+        # predecessor lists, per-stage orders) is hoisted here, in the
+        # enumeration order networkx gave, so order-dependent tie-breaks
+        # (first-max predecessor in critical_path) are bit-identical.
+        self._topo = _topological_order(self._successors)
         self._preds: Dict[str, Tuple[str, ...]] = {
-            node: tuple(self._graph.predecessors(node)) for node in self._topo
+            node: tuple(predecessors[node]) for node in self._topo
         }
         self._stage_topo: Dict[str, Tuple[str, ...]] = {}
         self._stage_preds: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         for stage in self.STAGES:
             members = [n for n, t in self._tasks.items() if t.stage == stage]
-            sub = self._graph.subgraph(members)
-            order = tuple(nx.topological_sort(sub))
+            order = _topological_order(
+                {
+                    n: [v for v in self._successors[n] if v in members]
+                    for n in members
+                }
+            )
             self._stage_topo[stage] = order
             self._stage_preds[stage] = {
-                node: tuple(sub.predecessors(node)) for node in order
+                node: tuple(p for p in predecessors[node] if p in members)
+                for node in order
             }
 
     @property
@@ -137,17 +143,22 @@ class SovDataflow:
         return self._tasks[name]
 
     def dependencies(self, name: str) -> List[str]:
-        return list(self._graph.predecessors(name))
+        return list(self._preds[name])
 
     def independent_pairs(self) -> List[Tuple[str, str]]:
         """Task pairs with no path between them — the exploitable TLP."""
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self._tasks)
+        graph.add_edges_from(
+            (u, v) for u, children in self._successors.items() for v in children
+        )
         pairs = []
         names = self.task_names
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
-                if not nx.has_path(self._graph, a, b) and not nx.has_path(
-                    self._graph, b, a
-                ):
+                if not nx.has_path(graph, a, b) and not nx.has_path(graph, b, a):
                     pairs.append((a, b))
         return pairs
 
@@ -235,6 +246,36 @@ class SovDataflow:
             start = max((finish[p] for p in preds[node]), default=0.0)
             finish[node] = start + latencies[node]
         return max(finish.values())
+
+
+def _topological_order(
+    successors: Mapping[str, Sequence[str]]
+) -> Tuple[str, ...]:
+    """networkx's ``topological_sort`` order of ``node -> successors``.
+
+    Generation by generation: the first in node order, each later one in
+    the order its members lost their last in-edge (parents in order,
+    each parent's children in edge order).  Raises ``ValueError`` on a
+    cycle.
+    """
+    indegree = dict.fromkeys(successors, 0)
+    for children in successors.values():
+        for child in children:
+            indegree[child] += 1
+    generation = [node for node, degree in indegree.items() if degree == 0]
+    order: List[str] = []
+    while generation:
+        order.extend(generation)
+        next_generation = []
+        for node in generation:
+            for child in successors[node]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    next_generation.append(child)
+        generation = next_generation
+    if len(order) != len(indegree):
+        raise ValueError("dataflow graph must be acyclic")
+    return tuple(order)
 
 
 def paper_dataflow() -> SovDataflow:

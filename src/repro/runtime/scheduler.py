@@ -81,15 +81,10 @@ class PipelineReport:
 class PipelinedExecutor:
     """Replays frames through sensing -> perception -> planning."""
 
-    def __init__(
-        self,
-        dataflow: Optional[SovDataflow] = None,
-        frame_rate_hz: float = 10.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, frame_rate_hz: float = 10.0, seed: int = 0) -> None:
         if frame_rate_hz <= 0:
             raise ValueError("frame rate must be positive")
-        self.dataflow = dataflow or paper_dataflow()
+        self.dataflow = paper_dataflow()
         self.frame_rate_hz = frame_rate_hz
         self._rng = np.random.default_rng(seed)
 

@@ -1,69 +1,22 @@
 """World simulation substrate: lane maps, worlds, trajectories, datasets."""
 
-from .corridors import (
-    CorridorScenario,
-    corridor_names,
-    generate_corridor,
-    generate_suite,
-    make_corridor_sov,
-    run_corridor_drive,
-)
-from .dataset_io import load_sequence, save_sequence
-from .kitti_like import (
-    CameraIntrinsics,
-    DriveSequence,
-    FeatureObservation,
-    Frame,
-    ImuSample,
-    SequenceGenerator,
-    StereoPair,
-    make_disparity_scene,
-    make_stereo_pair,
-    project_landmark,
-)
-from .lanes import LaneMap, LaneSegment, campus_loop, straight_corridor
-from .trajectory import (
-    CircuitTrajectory,
-    FigureEightTrajectory,
-    StraightTrajectory,
-    Trajectory,
-    TrajectorySample,
-    WaypointTrajectory,
-)
-from .world import Agent, Landmark, Obstacle, World, make_urban_block
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Agent",
-    "CameraIntrinsics",
-    "CircuitTrajectory",
-    "CorridorScenario",
-    "corridor_names",
-    "generate_corridor",
-    "generate_suite",
-    "make_corridor_sov",
-    "run_corridor_drive",
-    "DriveSequence",
-    "FeatureObservation",
-    "FigureEightTrajectory",
-    "Frame",
-    "ImuSample",
-    "Landmark",
-    "LaneMap",
-    "LaneSegment",
-    "Obstacle",
-    "SequenceGenerator",
-    "StereoPair",
-    "StraightTrajectory",
-    "Trajectory",
-    "TrajectorySample",
-    "WaypointTrajectory",
-    "load_sequence",
-    "save_sequence",
-    "World",
-    "campus_loop",
-    "make_disparity_scene",
-    "make_stereo_pair",
-    "make_urban_block",
-    "project_landmark",
-    "straight_corridor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "corridors": (
+        "CorridorScenario", "corridor_names", "generate_corridor",
+        "generate_suite", "make_corridor_sov", "run_corridor_drive",
+    ),
+    "dataset_io": ("load_sequence", "save_sequence"),
+    "kitti_like": (
+        "CameraIntrinsics", "DriveSequence", "FeatureObservation", "Frame",
+        "ImuSample", "SequenceGenerator", "StereoPair", "make_disparity_scene",
+        "make_stereo_pair", "project_landmark",
+    ),
+    "lanes": ("LaneMap", "LaneSegment", "campus_loop", "straight_corridor"),
+    "trajectory": (
+        "CircuitTrajectory", "FigureEightTrajectory", "StraightTrajectory",
+        "Trajectory", "TrajectorySample", "WaypointTrajectory",
+    ),
+    "world": ("Agent", "Landmark", "Obstacle", "World", "make_urban_block"),
+})

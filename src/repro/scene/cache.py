@@ -42,18 +42,14 @@ def scene_fingerprint(lane_map: LaneMap) -> SceneFingerprint:
     each graph edge with its ``lane_change`` flag (the input to the
     planner's adjacency enumeration).  Insertion order is significant:
     ``locate`` breaks lateral-offset ties by dict order and
-    ``_adjacent_lanes`` enumerates ``out_edges`` order, so reordering
+    ``_adjacent_lanes`` enumerates ``lane_changes`` order, so reordering
     *is* a semantic change and must miss the cache.
     """
     segments = tuple(
         (sid, seg.centerline, seg.width_m)
         for sid, seg in lane_map._segments.items()
     )
-    edges = tuple(
-        (u, v, bool(data.get("lane_change")))
-        for u, v, data in lane_map._graph.edges(data=True)
-    )
-    return (segments, edges)
+    return (segments, tuple(lane_map.edges()))
 
 
 @dataclass(frozen=True)
@@ -66,21 +62,13 @@ class SceneCache:
     #: sid -> its row in :attr:`lanes`.
     row_of: Dict[str, int]
     #: sid -> the planner's candidate list ``[sid] + adjacent`` in
-    #: ``out_edges`` order.
+    #: ``lane_changes`` order.
     candidates_of: Dict[str, Tuple[str, ...]]
 
 
 def _build(lane_map: LaneMap, fingerprint: SceneFingerprint) -> SceneCache:
     sids = tuple(lane_map._segments)
-    graph = lane_map._graph
-    candidates_of = {}
-    for sid in sids:
-        adjacent = tuple(
-            v
-            for _u, v, data in graph.out_edges(sid, data=True)
-            if data.get("lane_change")
-        )
-        candidates_of[sid] = (sid,) + adjacent
+    candidates_of = {sid: (sid, *lane_map.lane_changes(sid)) for sid in sids}
     return SceneCache(
         fingerprint=fingerprint,
         lanes=lane_batch([lane_map._segments[sid] for sid in sids]),

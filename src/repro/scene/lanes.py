@@ -4,16 +4,15 @@ The paper: "we use a pre-constructed map that marks lanes ... we use
 OpenStreetMap and frequently annotate it with semantic information of the
 environment."  The vehicle maneuvers at lane granularity (1-3 m wide lanes,
 Sec. III-D), so the map substrate is a directed graph of lane segments with
-centerline geometry and semantic annotations.  Built on ``networkx``.
+centerline geometry and semantic annotations, kept as an insertion-ordered
+adjacency map (``networkx`` loads only for :meth:`LaneMap.route`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -103,23 +102,44 @@ class LaneMap:
 
     Nodes are segment ids; an edge u->v means v is drivable after u
     (successor lane or an adjacent lane reachable by a lane change).
+    Edges enumerate by source segment in insertion order, then in
+    ``connect`` order; a repeated ``connect`` updates the edge's flag in
+    place.  The planner's candidate lanes and the scene-cache
+    fingerprint depend on that order.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
         self._segments: Dict[str, LaneSegment] = {}
+        #: from -> {to: lane_change}.
+        self._successors: Dict[str, Dict[str, bool]] = {}
 
     def add_segment(self, segment: LaneSegment) -> None:
         if segment.segment_id in self._segments:
             raise ValueError(f"duplicate segment id {segment.segment_id!r}")
         self._segments[segment.segment_id] = segment
-        self._graph.add_node(segment.segment_id)
+        self._successors[segment.segment_id] = {}
 
     def connect(self, from_id: str, to_id: str, lane_change: bool = False) -> None:
         for sid in (from_id, to_id):
             if sid not in self._segments:
                 raise KeyError(f"unknown segment {sid!r}")
-        self._graph.add_edge(from_id, to_id, lane_change=lane_change)
+        self._successors[from_id][to_id] = bool(lane_change)
+
+    def lane_changes(self, segment_id: str) -> List[str]:
+        """Segments reachable from *segment_id* by a lane change."""
+        return [
+            to_id
+            for to_id, lane_change in self._successors[segment_id].items()
+            if lane_change
+        ]
+
+    def edges(self) -> List[Tuple[str, str, bool]]:
+        """Every ``(from_id, to_id, lane_change)`` edge."""
+        return [
+            (from_id, to_id, lane_change)
+            for from_id, successors in self._successors.items()
+            for to_id, lane_change in successors.items()
+        ]
 
     def segment(self, segment_id: str) -> LaneSegment:
         return self._segments[segment_id]
@@ -141,9 +161,14 @@ class LaneMap:
 
     def route(self, from_id: str, to_id: str) -> List[str]:
         """Shortest route by driven distance; raises if unreachable."""
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self._segments)
+        graph.add_edges_from((u, v) for u, v, _change in self.edges())
         try:
             return nx.shortest_path(
-                self._graph,
+                graph,
                 from_id,
                 to_id,
                 weight=lambda u, v, d: self._segments[v].length_m,

@@ -1,37 +1,16 @@
 """Sensor substrate: clocks, cameras, IMU, GPS, radar, sonar, and the rig."""
 
-from .base import Sensor, SensorClock, SensorSample
-from .camera import (
-    Camera,
-    CameraFrame,
-    CameraTimingModel,
-    StereoRigGeometry,
-    make_stereo_pair_cameras,
-)
-from .gps import GnssFix, Gps, OutageWindow
-from .imu import Imu, ImuReading
-from .radar import Radar, RadarDetection
-from .rig import SensorRig, build_rig
-from .sonar import Sonar, SonarPing
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Camera",
-    "CameraFrame",
-    "CameraTimingModel",
-    "GnssFix",
-    "Gps",
-    "Imu",
-    "ImuReading",
-    "OutageWindow",
-    "Radar",
-    "RadarDetection",
-    "Sensor",
-    "SensorClock",
-    "SensorRig",
-    "SensorSample",
-    "Sonar",
-    "SonarPing",
-    "StereoRigGeometry",
-    "build_rig",
-    "make_stereo_pair_cameras",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("Sensor", "SensorClock", "SensorSample"),
+    "camera": (
+        "Camera", "CameraFrame", "CameraTimingModel", "StereoRigGeometry",
+        "make_stereo_pair_cameras",
+    ),
+    "gps": ("GnssFix", "Gps", "OutageWindow"),
+    "imu": ("Imu", "ImuReading"),
+    "radar": ("Radar", "RadarDetection"),
+    "rig": ("SensorRig", "build_rig"),
+    "sonar": ("Sonar", "SonarPing"),
+})

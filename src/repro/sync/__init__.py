@@ -1,26 +1,16 @@
 """Sensor synchronization: delay models, software and hardware strategies."""
 
-from .delays import DelayStage, PipelineModel, camera_pipeline, imu_pipeline
-from .hardware_sync import (
-    HardwareSynchronizer,
-    HardwareSyncSimulation,
-    SynchronizerSpec,
-)
-from .matching import MatchedPair, SyncReport, TimedRecord, associate_nearest
-from .software_sync import SoftwareSyncSimulation, paper_mismatch_example
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DelayStage",
-    "HardwareSyncSimulation",
-    "HardwareSynchronizer",
-    "MatchedPair",
-    "PipelineModel",
-    "SoftwareSyncSimulation",
-    "SyncReport",
-    "SynchronizerSpec",
-    "TimedRecord",
-    "associate_nearest",
-    "camera_pipeline",
-    "imu_pipeline",
-    "paper_mismatch_example",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "delays": (
+        "DelayStage", "PipelineModel", "camera_pipeline", "imu_pipeline",
+    ),
+    "hardware_sync": (
+        "HardwareSynchronizer", "HardwareSyncSimulation", "SynchronizerSpec",
+    ),
+    "matching": (
+        "MatchedPair", "SyncReport", "TimedRecord", "associate_nearest",
+    ),
+    "software_sync": ("SoftwareSyncSimulation", "paper_mismatch_example"),
+})

@@ -5,20 +5,11 @@ into executable invariants and sweeps them over the corridor scenario
 suite (:mod:`repro.scene.corridors`).
 """
 
-from .invariants import (
-    INVARIANT_NAMES,
-    CellOutcome,
-    InvariantViolation,
-    MatrixReport,
-    drive_fingerprint,
-    run_invariant_matrix,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "INVARIANT_NAMES",
-    "CellOutcome",
-    "InvariantViolation",
-    "MatrixReport",
-    "drive_fingerprint",
-    "run_invariant_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "invariants": (
+        "INVARIANT_NAMES", "CellOutcome", "InvariantViolation", "MatrixReport",
+        "drive_fingerprint", "run_invariant_matrix",
+    ),
+})

@@ -19,65 +19,23 @@ The pipeline a violation rides after a campaign surfaces it:
   campaign cell from its printed id.
 """
 
-from .campaign import (
-    INJECTION_SPACE,
-    TriageCampaignConfig,
-    TriageCampaignResult,
-    harvest_candidates,
-    run_triage_campaign,
-    triage_summary,
-)
-from .corpus import (
-    CorpusError,
-    CorpusRecord,
-    CorpusState,
-    ReplayReport,
-    load_corpus,
-    load_record,
-    replay_corpus,
-    save_record,
-)
-from .fingerprint import failure_fingerprint, outcome_fingerprint
-from .flakes import (
-    FLAKE_LABELS,
-    FlakeClassification,
-    classify_flakes,
-    classify_outcomes,
-    label_stats,
-    replica_cell,
-)
-from .oracle import TriageOutcome
-from .replay import export_cell_trace, replay_cell
-from .shrink import Shrinker, ShrinkResult, ddmin, shrink_violation
+from .._lazy import lazy_exports
 
-__all__ = [
-    "INJECTION_SPACE",
-    "TriageCampaignConfig",
-    "TriageCampaignResult",
-    "harvest_candidates",
-    "run_triage_campaign",
-    "triage_summary",
-    "CorpusError",
-    "CorpusRecord",
-    "CorpusState",
-    "ReplayReport",
-    "load_corpus",
-    "load_record",
-    "replay_corpus",
-    "save_record",
-    "failure_fingerprint",
-    "outcome_fingerprint",
-    "FLAKE_LABELS",
-    "FlakeClassification",
-    "classify_flakes",
-    "classify_outcomes",
-    "label_stats",
-    "replica_cell",
-    "TriageOutcome",
-    "export_cell_trace",
-    "replay_cell",
-    "Shrinker",
-    "ShrinkResult",
-    "ddmin",
-    "shrink_violation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "campaign": (
+        "INJECTION_SPACE", "TriageCampaignConfig", "TriageCampaignResult",
+        "harvest_candidates", "run_triage_campaign", "triage_summary",
+    ),
+    "corpus": (
+        "CorpusError", "CorpusRecord", "CorpusState", "ReplayReport",
+        "load_corpus", "load_record", "replay_corpus", "save_record",
+    ),
+    "fingerprint": ("failure_fingerprint", "outcome_fingerprint"),
+    "flakes": (
+        "FLAKE_LABELS", "FlakeClassification", "classify_flakes",
+        "classify_outcomes", "label_stats", "replica_cell",
+    ),
+    "oracle": ("TriageOutcome",),
+    "replay": ("export_cell_trace", "replay_cell"),
+    "shrink": ("Shrinker", "ShrinkResult", "ddmin", "shrink_violation"),
+})

@@ -1,26 +1,16 @@
 """Vehicle substrate: dynamics, actuation, battery, and configurations."""
 
-from .actuator import Actuator, EngineControlUnit
-from .battery import Battery, BatteryDepletedError
-from .configs import VehicleConfig, eight_seater_shuttle, lidar_variant, two_seater_pod
-from .dynamics import (
-    BicycleModel,
-    ControlCommand,
-    VehicleState,
-    simulate_straight_line_stop,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Actuator",
-    "Battery",
-    "BatteryDepletedError",
-    "BicycleModel",
-    "ControlCommand",
-    "EngineControlUnit",
-    "VehicleConfig",
-    "VehicleState",
-    "eight_seater_shuttle",
-    "lidar_variant",
-    "simulate_straight_line_stop",
-    "two_seater_pod",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "actuator": ("Actuator", "EngineControlUnit"),
+    "battery": ("Battery", "BatteryDepletedError"),
+    "configs": (
+        "VehicleConfig", "eight_seater_shuttle", "lidar_variant",
+        "two_seater_pod",
+    ),
+    "dynamics": (
+        "BicycleModel", "ControlCommand", "VehicleState",
+        "simulate_straight_line_stop",
+    ),
+})

@@ -478,11 +478,13 @@ class TestCli:
                 baseline,
             ]
         )
-        assert code == 0
-        assert "workload: fleet" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "workload: fleet" in out
         code = bench_gate_main(["check", "--baseline", baseline])
         out = capsys.readouterr().out
-        assert code == 0
+        # On failure the gate report names the metric that tripped.
+        assert code == 0, out
         assert "PASS" in out
         assert "lost_cells" in out
         assert "cells_per_s" in out

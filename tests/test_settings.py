@@ -1,10 +1,12 @@
 """Settings guard: every field of the drive and campaign configs, the
-planner, the reactive path and the vehicle model is set by some caller.
+planner, the reactive path, the vehicle model and the two offline
+executors is set by some caller.
 
 A field that no caller outside its own module passes is a constant
 that tests and benchmarks never vary; it belongs in the code as one.
 Only ``init`` fields are settings: a field the constructor does not
-take (``ReactivePath.triggers``) is state.
+take (``ReactivePath.triggers``) is state.  A class that is not a
+dataclass has the parameters of its ``__init__`` as settings.
 """
 
 import ast
@@ -18,6 +20,8 @@ import pytest
 from repro.fleetops.supervisor import FleetConfig
 from repro.planning.mpc import MpcPlanner
 from repro.planning.reactive import ReactivePath
+from repro.runtime.alp import AlpExecutor
+from repro.runtime.scheduler import PipelinedExecutor
 from repro.runtime.shedding import LoadShedPolicy
 from repro.runtime.sov import SovConfig
 from repro.triage.campaign import TriageCampaignConfig
@@ -33,10 +37,15 @@ CONFIGS = (
     MpcPlanner,
     ReactivePath,
     BicycleModel,
+    AlpExecutor,
+    PipelinedExecutor,
 )
 
 
 def _settings(config) -> list:
+    if not dataclasses.is_dataclass(config):
+        parameters = inspect.signature(config.__init__).parameters
+        return [name for name in parameters if name != "self"]
     return [f.name for f in dataclasses.fields(config) if f.init]
 
 
