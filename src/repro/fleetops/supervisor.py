@@ -621,6 +621,21 @@ class FleetSupervisor:
                 state.workers.add(worker.id)
             worker.assign(pairs, now)
 
+        def fill_idle(now: float) -> None:
+            """Dispatch onto idle workers: a queued retry alone, else a
+            chunk of pending cells, sized once per pass."""
+            idle = [h for h in workers.values() if h.idle and h.alive]
+            if not idle:
+                return
+            size = chunk_size(
+                len(pending), sum(h.alive for h in workers.values())
+            )
+            for handle in idle:
+                chunk = next_chunk(size)
+                if not chunk:
+                    break
+                dispatch(handle, chunk, now)
+
         for _ in range(config.n_workers):
             spawn_worker()
 
@@ -628,6 +643,8 @@ class FleetSupervisor:
             return sum(not ledger.settled(cell_id) for cell_id in spec_by_id)
 
         try:
+            # The first chunks go out before the first wait on results.
+            fill_idle(time.monotonic())
             while outstanding() > 0:
                 now = time.monotonic()
 
@@ -730,18 +747,8 @@ class FleetSupervisor:
                             idle.pop(), [s.spec for s in stragglers], now
                         )
 
-                # 5. Dispatch onto idle workers: a queued retry alone,
-                # else a chunk of pending cells, sized once per pass.
-                idle = [h for h in workers.values() if h.idle and h.alive]
-                if idle:
-                    size = chunk_size(
-                        len(pending), sum(h.alive for h in workers.values())
-                    )
-                    for handle in idle:
-                        chunk = next_chunk(size)
-                        if not chunk:
-                            break
-                        dispatch(handle, chunk, now)
+                # 5. Dispatch onto idle workers.
+                fill_idle(now)
         finally:
             for handle in workers.values():
                 handle.shutdown()

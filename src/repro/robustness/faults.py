@@ -261,9 +261,12 @@ class FaultScenario:
         return list(self._by_kind.get(kind, ()))
 
     def active(self, kind: str, now_s: float) -> List[Fault]:
-        return [
-            f for f in self._by_kind.get(kind, ()) if f.window.active(now_s)
-        ]
+        """The faults of *kind* whose windows cover *now_s*, in schedule
+        order; a kind the schedule does not hold returns at once."""
+        faults = self._by_kind.get(kind)
+        if faults is None:
+            return []
+        return [f for f in faults if f.window.active(now_s)]
 
     @property
     def kinds(self) -> List[str]:

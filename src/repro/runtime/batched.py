@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..planning.mpc import MpcPlanner
-from ..scene.cache import SceneCache, cache_for
+from ..scene.cache import CandidateRows, SceneCache, cache_for, packed_lanes
 from ..vehicle.dynamics import BicycleModel, ControlCommand
 from . import kernels
 from .sov import DriveLoop, DriveResult, PlanRequest, SystemsOnAVehicle
@@ -54,8 +54,7 @@ class _Entry:
     request: PlanRequest
     planner: MpcPlanner
     cache: SceneCache
-    candidate_sids: Tuple[str, ...]
-    current_sid: str
+    rows: CandidateRows
     pred_count: int
     command: Optional[ControlCommand] = None
 
@@ -128,8 +127,7 @@ def plan_requests(
             request=request,
             planner=planner,
             cache=cache,
-            candidate_sids=cache.candidates_of[current],
-            current_sid=current,
+            rows=cache.rows_of[current],
             pred_count=pred_count,
         )
         groups.setdefault((planner.model, planner.lookahead_m), []).append(
@@ -152,142 +150,86 @@ def _scalar_plan(planner, request: PlanRequest) -> ControlCommand:
     ).command
 
 
-def _gather_lanes(
-    per_entry: List[Tuple[SceneCache, np.ndarray]]
-) -> kernels.LaneBatch:
-    """One cross-scene LaneBatch: the given rows of each entry's
-    ``cache.lanes``, padded to the group's widest row."""
-    smax = max(cache.lanes.ax.shape[1] for cache, _ in per_entry)
-
-    def cat(attr: str, fill: float = 0.0) -> np.ndarray:
-        parts = []
-        for cache, idx in per_entry:
-            block = getattr(cache.lanes, attr)[idx]
-            if block.shape[1] < smax:
-                padded = np.full((block.shape[0], smax), fill)
-                padded[:, : block.shape[1]] = block
-                block = padded
-            parts.append(block)
-        return np.concatenate(parts)
-
-    def cat1(attr: str) -> np.ndarray:
-        return np.concatenate(
-            [getattr(cache.lanes, attr)[idx] for cache, idx in per_entry]
-        )
-
-    segments: List[object] = []
-    for cache, idx in per_entry:
-        segments.extend(cache.lanes.segments[i] for i in idx)
-    return kernels.LaneBatch(
-        ax=cat("ax"),
-        ay=cat("ay"),
-        dx=cat("dx"),
-        dy=cat("dy"),
-        length=cat("length"),
-        length_sq=cat("length_sq", fill=1.0),
-        cum=cat("cum"),
-        start_x=cat1("start_x"),
-        start_y=cat1("start_y"),
-        end_x=cat1("end_x"),
-        end_y=cat1("end_y"),
-        segments=tuple(segments),
-    )
-
-
 def _solve_group(entries: List[_Entry]) -> None:
-    """One vectorized planning pass over every candidate of every entry."""
+    """One vectorized planning pass over every candidate of every entry.
+
+    Rows are the entries' :class:`~repro.scene.cache.CandidateRows` in
+    turn; their lanes are one fancy index into the packed lanes of the
+    round's scenes, and each entry's obstacles and predictions are one
+    array, spread over its rows.
+    """
     planner = entries[0].planner
     accels = MpcPlanner.accel_candidates
     n_accels = len(accels)
     steps = kernels.HORIZON_STEPS
+    n = len(entries)
 
-    # -- candidate rows: lane-major, accel-minor, entries in order ---------
-    accel_tile = np.array(accels)
-    per_entry_lanes: List[Tuple[SceneCache, np.ndarray]] = []
-    row_counts: List[int] = []
-    states = np.empty((len(entries), 4))
-    accel_parts: List[np.ndarray] = []
-    change_rows: List[bool] = []
-    for e_i, entry in enumerate(entries):
-        cands = entry.candidate_sids
-        lane_idx = np.fromiter(
-            (entry.cache.row_of[s] for s in cands),
-            dtype=np.intp,
-            count=len(cands),
-        )
-        per_entry_lanes.append((entry.cache, np.repeat(lane_idx, n_accels)))
-        n_rows = len(cands) * n_accels
-        row_counts.append(n_rows)
-        state = entry.request.state
-        states[e_i] = (
-            state.x_m, state.y_m, state.heading_rad, state.speed_mps
-        )
-        accel_parts.append(np.tile(accel_tile, len(cands)))
-        for sid in cands:
-            change_rows.extend([sid != entry.current_sid] * n_accels)
-    lanes = _gather_lanes(per_entry_lanes)
-    accel = np.concatenate(accel_parts)
-    counts = np.array(row_counts)
-    x0 = np.repeat(states[:, 0], counts)
-    y0 = np.repeat(states[:, 1], counts)
-    h0 = np.repeat(states[:, 2], counts)
-    v0 = np.repeat(states[:, 3], counts)
-    total_rows = lanes.width
+    # -- candidate rows: entries in order, each lane-major, accel-minor ----
+    table, offsets = packed_lanes(e.cache for e in entries)
+    counts = np.array([len(e.rows.lanes) for e in entries])
+    lane_rows = np.concatenate([e.rows.lanes for e in entries]) + np.repeat(
+        [offsets[e.cache] for e in entries], counts
+    )
+    lanes = table.take(lane_rows)
+    accel = np.concatenate([e.rows.accel for e in entries])
+    change = np.concatenate([e.rows.change for e in entries])
+    states = np.array(
+        [
+            (s.x_m, s.y_m, s.heading_rad, s.speed_mps)
+            for s in (e.request.state for e in entries)
+        ]
+    )
+    x0, y0, h0, v0 = np.repeat(states.T, counts, axis=1)
 
     tx, ty, tspeed, steer0 = kernels.rollout_batch(
         lanes, x0, y0, h0, v0, accel, planner.model, planner.lookahead_m
     )
 
-    # -- obstacles / predictions, padded ragged across entries -------------
+    # -- obstacles / predictions: (x, y, radius), padded per entry ---------
     max_obs = max(len(e.request.obstacles) for e in entries)
     max_pred = max(e.pred_count for e in entries)
-    obs_x = np.full((total_rows, max_obs), kernels.PAD_XY)
-    obs_y = np.full((total_rows, max_obs), kernels.PAD_XY)
-    obs_r = np.zeros((total_rows, max_obs))
-    pred_x = np.full((total_rows, steps, max_pred), kernels.PAD_XY)
-    pred_y = np.full((total_rows, steps, max_pred), kernels.PAD_XY)
-    pred_r = np.zeros((total_rows, steps, max_pred))
-    row0 = 0
-    for entry, n_rows in zip(entries, row_counts):
-        rows = slice(row0, row0 + n_rows)
+    obs = np.zeros((3, n, max_obs))
+    obs[:2] = kernels.PAD_XY
+    pred = np.zeros((3, n, steps, max_pred))
+    pred[:2] = kernels.PAD_XY
+    for i, entry in enumerate(entries):
         obstacles = entry.request.obstacles
-        for j, obstacle in enumerate(obstacles):
-            obs_x[rows, j] = obstacle.x_m
-            obs_y[rows, j] = obstacle.y_m
-            obs_r[rows, j] = obstacle.radius_m
+        if obstacles:
+            obs[:, i, : len(obstacles)] = np.array(
+                [(o.x_m, o.y_m, o.radius_m) for o in obstacles]
+            ).T
         p = entry.pred_count
         if p:
-            preds = entry.request.predictions
-            px = np.array([s.x_m for s in preds]).reshape(steps, p)
-            py = np.array([s.y_m for s in preds]).reshape(steps, p)
-            pr = np.array([s.radius_m for s in preds]).reshape(steps, p)
-            pred_x[rows, :, :p] = px
-            pred_y[rows, :, :p] = py
-            pred_r[rows, :, :p] = pr
-        row0 += n_rows
+            pred[:, i, :, :p] = (
+                np.array(
+                    [(s.x_m, s.y_m, s.radius_m) for s in entry.request.predictions]
+                )
+                .T.reshape(3, steps, p)
+            )
+    obs_x, obs_y, obs_r = np.repeat(obs, counts, axis=1)
+    pred_x, pred_y, pred_r = np.repeat(pred, counts, axis=1)
 
     collides, ttc = kernels.collision_batch(
         tx, ty, kernels.HORIZON_TIMES,
         obs_x, obs_y, obs_r, pred_x, pred_y, pred_r,
     )
-    costs = kernels.cost_batch(
-        tx, tspeed, accel, np.array(change_rows), collides, ttc
-    )
+    costs = kernels.cost_batch(tx, tspeed, accel, change, collides, ttc)
 
     # -- per-entry selection: first minimum, rows in candidate order -------
-    row0 = 0
-    for entry, n_rows in zip(entries, row_counts):
-        local = int(np.argmin(costs[row0 : row0 + n_rows]))
-        best_row = row0 + local
-        best_accel = accels[local % n_accels]
+    width = int(counts.max())
+    padded = np.full((n, width), np.inf)
+    padded[np.arange(width) < counts[:, None]] = costs
+    local = padded.argmin(axis=1)
+    best = (np.cumsum(counts) - counts + local).tolist()
+    steers = steer0[best].tolist()
+    for entry, column, steer in zip(entries, local.tolist(), steers):
         command = ControlCommand(
-            steer_rad=float(steer0[best_row]),
-            accel_mps2=best_accel,
+            steer_rad=steer,
+            accel_mps2=accels[column % n_accels],
             timestamp_s=entry.request.now_s,
             source="proactive",
         )
         entry.command = entry.planner.model.clamp(command)
-        row0 += n_rows
 
 
 class BatchedStepper:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +68,33 @@ _BAND_REL = 1e-12
 # -- exact element-wise transcendentals ----------------------------------------
 
 
+def _exact1(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    """*fn* (a ``math`` function) over a 1-D float array, element-wise."""
+    return np.fromiter(map(fn, a.tolist()), dtype=np.float64, count=a.size)
+
+
+def _exact2(
+    fn: Callable[[float, float], float], a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """*fn* over two 1-D float arrays of one length, element-wise."""
+    return np.fromiter(
+        map(fn, a.tolist(), b.tolist()), dtype=np.float64, count=a.size
+    )
+
+
+def _broadcast2(
+    fn: Callable[[float, float], float], a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """:func:`_exact2` over arrays of any broadcastable shapes."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        a = np.broadcast_to(a, shape)
+        b = np.broadcast_to(b, shape)
+    return _exact2(fn, a.ravel(), b.ravel()).reshape(a.shape)
+
+
 def exact_hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``math.hypot`` element-wise: bit-identical to the scalar path.
 
@@ -75,45 +102,18 @@ def exact_hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ~0.6% of cases, which would silently fork a batched trajectory from
     its scalar reference.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        a = np.broadcast_to(a, shape)
-        b = np.broadcast_to(b, shape)
-    shape = a.shape
-    out = np.fromiter(
-        map(math.hypot, a.ravel().tolist(), b.ravel().tolist()),
-        dtype=np.float64,
-        count=a.size,
-    )
-    return out.reshape(shape)
+    return _broadcast2(math.hypot, a, b)
 
 
 def exact_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``math.atan2`` element-wise (``np.arctan2`` is not bit-equal)."""
-    y = np.asarray(y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if y.shape != x.shape:
-        shape = np.broadcast_shapes(y.shape, x.shape)
-        y = np.broadcast_to(y, shape)
-        x = np.broadcast_to(x, shape)
-    shape = y.shape
-    out = np.fromiter(
-        map(math.atan2, y.ravel().tolist(), x.ravel().tolist()),
-        dtype=np.float64,
-        count=y.size,
-    )
-    return out.reshape(shape)
+    return _broadcast2(math.atan2, y, x)
 
 
 def exact_tan(a: np.ndarray) -> np.ndarray:
     """``math.tan`` element-wise (``np.tan`` is not bit-equal)."""
     a = np.asarray(a, dtype=np.float64)
-    out = np.fromiter(
-        map(math.tan, a.ravel().tolist()), dtype=np.float64, count=a.size
-    )
-    return out.reshape(a.shape)
+    return _exact1(math.tan, a.ravel()).reshape(a.shape)
 
 
 # -- lane geometry in structure-of-arrays form ---------------------------------
@@ -147,12 +147,68 @@ class LaneBatch:
     start_y: np.ndarray
     end_x: np.ndarray
     end_y: np.ndarray
-    #: The source segment per row (scalar fallback for guard-band ties).
-    segments: Tuple["object", ...]
+    #: The source segment per row (scalar fallback for guard-band ties):
+    #: a tuple, or an object array in a packed table.
+    segments: Sequence["object"]
 
     @property
     def width(self) -> int:
         return self.ax.shape[0]
+
+    def take(self, rows: np.ndarray) -> "LaneBatch":
+        """The lanes in rows *rows*, in that order: one fancy index per
+        array."""
+        return LaneBatch(
+            ax=self.ax[rows],
+            ay=self.ay[rows],
+            dx=self.dx[rows],
+            dy=self.dy[rows],
+            length=self.length[rows],
+            length_sq=self.length_sq[rows],
+            cum=self.cum[rows],
+            start_x=self.start_x[rows],
+            start_y=self.start_y[rows],
+            end_x=self.end_x[rows],
+            end_y=self.end_y[rows],
+            segments=np.asarray(self.segments, dtype=object)[rows],
+        )
+
+
+def pack_lanes(batches: Sequence[LaneBatch]) -> LaneBatch:
+    """*batches* stacked into one table, each padded to the widest with
+    zero-length segments (``length_sq`` 1.0), which both lane walks
+    pass over exactly."""
+    size = max(batch.ax.shape[1] for batch in batches)
+
+    def stack(attr: str, fill: float = 0.0) -> np.ndarray:
+        parts = []
+        for batch in batches:
+            block = getattr(batch, attr)
+            if block.shape[1] < size:
+                padded = np.full((block.shape[0], size), fill)
+                padded[:, : block.shape[1]] = block
+                block = padded
+            parts.append(block)
+        return np.concatenate(parts)
+
+    segments = [segment for batch in batches for segment in batch.segments]
+    table = np.empty(len(segments), dtype=object)
+    for i, segment in enumerate(segments):
+        table[i] = segment
+    return LaneBatch(
+        ax=stack("ax"),
+        ay=stack("ay"),
+        dx=stack("dx"),
+        dy=stack("dy"),
+        length=stack("length"),
+        length_sq=stack("length_sq", fill=1.0),
+        cum=stack("cum"),
+        start_x=np.concatenate([batch.start_x for batch in batches]),
+        start_y=np.concatenate([batch.start_y for batch in batches]),
+        end_x=np.concatenate([batch.end_x for batch in batches]),
+        end_y=np.concatenate([batch.end_y for batch in batches]),
+        segments=table,
+    )
 
 
 def lane_batch(segments: Sequence) -> LaneBatch:
@@ -229,78 +285,142 @@ def _scalar_lane_progress(segment, x: float, y: float) -> float:
     return best_s
 
 
+class _LaneWalk:
+    """A :class:`LaneBatch`'s per-rollout invariants: the columns, masks
+    and divisors every horizon step of the lane walks reads and none
+    changes, taken once per rollout instead of once per step."""
+
+    def __init__(self, lanes: LaneBatch) -> None:
+        self.lanes = lanes
+        self.n_seg = lanes.ax.shape[1]
+        length = lanes.length
+        self.mask = length > 0
+        #: Per segment column: its length, whether it is a real
+        #: segment, the length as a safe divisor, start and delta.
+        self.columns = tuple(
+            (
+                length[:, j],
+                self.mask[:, j],
+                np.where(self.mask[:, j], length[:, j], 1.0),
+                lanes.ax[:, j],
+                lanes.ay[:, j],
+                lanes.dx[:, j],
+                lanes.dy[:, j],
+            )
+            for j in range(self.n_seg)
+        )
+
+    def progress(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Vectorized ``MpcPlanner._lane_progress`` across ``B`` rows.
+
+        The projection parameter ``t`` and the winning arc-length
+        ``cum + t * seg_len`` are exact element-wise arithmetic.  Only the
+        nearest-segment *selection* distance uses fast ``np.hypot``;
+        rows whose best-vs-runner-up gap falls inside the guard band
+        are re-evaluated with the scalar walk, so the selection can never
+        diverge from the reference.
+        """
+        lanes = self.lanes
+        if self.n_seg == 1:
+            # Single-segment lanes: the one real segment always wins the
+            # selection (any finite d beats inf), so no distance is
+            # needed; the same element operations on the one column.
+            length, real, _safe, ax, ay, dx, dy = self.columns[0]
+            proj = (x - ax) * dx + (y - ay) * dy
+            t = np.maximum(0.0, np.minimum(1.0, proj / lanes.length_sq[:, 0]))
+            return np.where(real, lanes.cum[:, 0] + t * length, 0.0)
+        proj = (x[:, None] - lanes.ax) * lanes.dx + (
+            y[:, None] - lanes.ay
+        ) * lanes.dy
+        t = np.maximum(0.0, np.minimum(1.0, proj / lanes.length_sq))
+        s_candidates = lanes.cum + t * lanes.length
+        cx = lanes.ax + t * lanes.dx
+        cy = lanes.ay + t * lanes.dy
+        d = np.hypot(x[:, None] - cx, y[:, None] - cy)
+        d = np.where(self.mask, d, np.inf)
+        best_s = np.zeros_like(x)
+        best_d = np.full_like(x, np.inf)
+        gap = np.full_like(x, np.inf)
+        for j in range(self.n_seg):
+            better = d[:, j] < best_d
+            gap = np.where(
+                better, best_d - d[:, j], np.minimum(gap, d[:, j] - best_d)
+            )
+            best_d = np.where(better, d[:, j], best_d)
+            best_s = np.where(better, s_candidates[:, j], best_s)
+        # Guard band: a 1-ulp hypot difference can only flip a selection
+        # whose winning margin is ~1 ulp; re-run those with scalar math.
+        scale = np.maximum(1.0, best_d)
+        near = np.isfinite(gap) & (gap <= _BAND_REL * scale)
+        if near.any():
+            for i in np.nonzero(near)[0]:
+                best_s[i] = _scalar_lane_progress(
+                    lanes.segments[i], float(x[i]), float(y[i])
+                )
+        return best_s
+
+    def point_at(self, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized ``LaneSegment.point_at`` (the sequential clamped walk).
+
+        Replicates the scalar early-return structure: the first segment
+        with ``remaining <= seg_len and seg_len > 0`` wins; otherwise
+        ``remaining`` decreases by the segment length (a bitwise no-op
+        for padding rows).
+        """
+        lanes = self.lanes
+        at_start = s <= 0
+        px = np.where(at_start, lanes.start_x, lanes.end_x)
+        py = np.where(at_start, lanes.start_y, lanes.end_y)
+        done = at_start
+        remaining = s
+        last = self.n_seg - 1
+        for j, (length, real, safe, ax, ay, dx, dy) in enumerate(
+            self.columns
+        ):
+            hit = ~done & (remaining <= length) & real
+            if hit.any():
+                t = remaining / safe
+                px = np.where(hit, ax + t * dx, px)
+                py = np.where(hit, ay + t * dy, py)
+                done = done | hit
+            if j < last:
+                remaining = np.where(done, remaining, remaining - length)
+        return px, py
+
+    def steer(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        heading: np.ndarray,
+        two_wheelbase_m: float,
+        lookahead_m: float,
+    ) -> np.ndarray:
+        """Vectorized ``MpcPlanner._pure_pursuit_steer`` — exact trig.
+
+        Every transcendental that feeds the steer *value* goes through
+        the exact element-wise ``math`` calls; ``np.sin`` / ``np.cos`` are
+        bit-equal to ``math.sin`` / ``math.cos`` and stay vectorized.
+        """
+        tx, ty = self.point_at(self.progress(x, y) + lookahead_m)
+        dx = tx - x
+        dy = ty - y
+        alpha = _exact2(math.atan2, dy, dx) - heading
+        alpha = _exact2(math.atan2, np.sin(alpha), np.cos(alpha))
+        lookahead = np.maximum(_exact2(math.hypot, dx, dy), 1e-6)
+        return _exact2(math.atan2, two_wheelbase_m * np.sin(alpha), lookahead)
+
+
 def lane_progress_batch(
     lanes: LaneBatch, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Vectorized ``MpcPlanner._lane_progress`` across ``B`` candidates.
-
-    The projection parameter ``t`` and the winning arc-length
-    ``cum + t * seg_len`` are exact element-wise arithmetic.  Only the
-    nearest-segment *selection* distance uses fast ``np.hypot``;
-    candidates whose best-vs-runner-up gap falls inside the guard band
-    are re-evaluated with the scalar walk, so the selection can never
-    diverge from the reference.
-    """
-    n_seg = lanes.ax.shape[1]
-    # Single-segment lanes: the one real segment always wins the
-    # selection (any finite d beats inf), so no distance is needed.
-    proj = (x[:, None] - lanes.ax) * lanes.dx + (
-        y[:, None] - lanes.ay
-    ) * lanes.dy
-    t = np.maximum(0.0, np.minimum(1.0, proj / lanes.length_sq))
-    s_candidates = lanes.cum + t * lanes.length
-    mask = lanes.length > 0
-    if n_seg == 1:
-        return np.where(mask[:, 0], s_candidates[:, 0], 0.0)
-    cx = lanes.ax + t * lanes.dx
-    cy = lanes.ay + t * lanes.dy
-    d = np.hypot(x[:, None] - cx, y[:, None] - cy)
-    d = np.where(mask, d, np.inf)
-    best_s = np.zeros_like(x)
-    best_d = np.full_like(x, np.inf)
-    gap = np.full_like(x, np.inf)
-    for j in range(n_seg):
-        better = d[:, j] < best_d
-        gap = np.where(better, best_d - d[:, j], np.minimum(gap, d[:, j] - best_d))
-        best_d = np.where(better, d[:, j], best_d)
-        best_s = np.where(better, s_candidates[:, j], best_s)
-    # Guard band: a 1-ulp hypot difference can only flip a selection
-    # whose winning margin is ~1 ulp; re-run those with scalar math.
-    scale = np.maximum(1.0, best_d)
-    near = np.isfinite(gap) & (gap <= _BAND_REL * scale)
-    if np.any(near):
-        for i in np.nonzero(near)[0]:
-            best_s[i] = _scalar_lane_progress(
-                lanes.segments[i], float(x[i]), float(y[i])
-            )
-    return best_s
+    """Vectorized ``MpcPlanner._lane_progress`` across ``B`` candidates
+    (:meth:`_LaneWalk.progress`)."""
+    return _LaneWalk(lanes).progress(x, y)
 
 
 def point_at_batch(lanes: LaneBatch, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``LaneSegment.point_at`` (the sequential clamped walk).
-
-    Replicates the scalar early-return structure: the first segment with
-    ``remaining <= seg_len and seg_len > 0`` wins; otherwise ``remaining``
-    decreases by the segment length (a bitwise no-op for padding rows).
-    """
-    n_seg = lanes.ax.shape[1]
-    px = lanes.end_x.copy()
-    py = lanes.end_y.copy()
-    at_start = s <= 0
-    done = at_start.copy()
-    px = np.where(at_start, lanes.start_x, px)
-    py = np.where(at_start, lanes.start_y, py)
-    remaining = s.copy()
-    for j in range(n_seg):
-        seg_len = lanes.length[:, j]
-        hit = (~done) & (remaining <= seg_len) & (seg_len > 0)
-        if np.any(hit):
-            t = remaining / np.where(seg_len > 0, seg_len, 1.0)
-            px = np.where(hit, lanes.ax[:, j] + t * lanes.dx[:, j], px)
-            py = np.where(hit, lanes.ay[:, j] + t * lanes.dy[:, j], py)
-            done |= hit
-        remaining = np.where(done, remaining, remaining - seg_len)
-    return px, py
+    """Vectorized ``LaneSegment.point_at`` (:meth:`_LaneWalk.point_at`)."""
+    return _LaneWalk(lanes).point_at(s)
 
 
 def pure_pursuit_steer_batch(
@@ -311,23 +431,38 @@ def pure_pursuit_steer_batch(
     wheelbase_m: float,
     lookahead_m: float,
 ) -> np.ndarray:
-    """Vectorized ``MpcPlanner._pure_pursuit_steer`` — exact trig.
-
-    Every transcendental that feeds the steer *value* goes through the
-    exact element-wise ``math`` calls; ``np.sin`` / ``np.cos`` are
-    bit-equal to ``math.sin`` / ``math.cos`` and stay vectorized.
-    """
-    s = lane_progress_batch(lanes, x, y)
-    tx, ty = point_at_batch(lanes, s + lookahead_m)
-    dx = tx - x
-    dy = ty - y
-    alpha = exact_atan2(dy, dx) - heading
-    alpha = exact_atan2(np.sin(alpha), np.cos(alpha))
-    lookahead = np.maximum(exact_hypot(dx, dy), 1e-6)
-    return exact_atan2((2.0 * wheelbase_m) * np.sin(alpha), lookahead)
+    """Vectorized ``MpcPlanner._pure_pursuit_steer``
+    (:meth:`_LaneWalk.steer`)."""
+    return _LaneWalk(lanes).steer(x, y, heading, 2.0 * wheelbase_m, lookahead_m)
 
 
 # -- batched bicycle model -----------------------------------------------------
+
+
+def _bicycle_step(
+    x: np.ndarray,
+    y: np.ndarray,
+    heading: np.ndarray,
+    speed: np.ndarray,
+    steer: np.ndarray,
+    accel_dt: np.ndarray,
+    model: BicycleModel,
+    dt_s: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`bicycle_step_batch` given the clamped accel times ``dt_s``."""
+    max_steer_rad = model.max_steer_rad
+    steer_c = np.maximum(-max_steer_rad, np.minimum(max_steer_rad, steer))
+    new_speed = speed + accel_dt
+    new_speed = np.maximum(0.0, np.minimum(model.max_speed_mps, new_speed))
+    avg_speed = 0.5 * (speed + new_speed)
+    new_heading = heading + (
+        avg_speed / model.wheelbase_m * _exact1(math.tan, steer_c) * dt_s
+    )
+    new_x = x + avg_speed * np.cos(heading) * dt_s
+    new_y = y + avg_speed * np.sin(heading) * dt_s
+    wrapped = np.fmod(new_heading + math.pi, 2.0 * math.pi)
+    wrapped = np.where(wrapped <= 0.0, wrapped + 2.0 * math.pi, wrapped)
+    return new_x, new_y, wrapped - math.pi, new_speed
 
 
 def bicycle_step_batch(
@@ -340,26 +475,16 @@ def bicycle_step_batch(
     model: BicycleModel,
     dt_s: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized ``model.step`` (accel pre-clamped, steer raw).
+    """Vectorized ``model.step`` on 1-D arrays (accel pre-clamped, steer raw).
 
     Operation order matches the scalar update exactly: speed integrate,
     clamp to ``[0, max_speed]``, trapezoidal average, heading update via
     ``(avg / wb * tan(steer)) * dt``, position via ``(avg * cos(h)) * dt``,
     angle wrap through ``fmod``.
     """
-    max_steer_rad = model.max_steer_rad
-    steer_c = np.maximum(-max_steer_rad, np.minimum(max_steer_rad, steer))
-    new_speed = speed + accel_clamped * dt_s
-    new_speed = np.maximum(0.0, np.minimum(model.max_speed_mps, new_speed))
-    avg_speed = 0.5 * (speed + new_speed)
-    new_heading = heading + (
-        avg_speed / model.wheelbase_m * exact_tan(steer_c) * dt_s
+    return _bicycle_step(
+        x, y, heading, speed, steer, accel_clamped * dt_s, model, dt_s
     )
-    new_x = x + avg_speed * np.cos(heading) * dt_s
-    new_y = y + avg_speed * np.sin(heading) * dt_s
-    wrapped = np.fmod(new_heading + math.pi, 2.0 * math.pi)
-    wrapped = np.where(wrapped <= 0.0, wrapped + 2.0 * math.pi, wrapped)
-    return new_x, new_y, wrapped - math.pi, new_speed
 
 
 def rollout_batch(
@@ -378,26 +503,30 @@ def rollout_batch(
     arrays, shape ``[B, HORIZON_STEPS]``, plus the first-step
     pure-pursuit steer (bit-equal to the scalar planner's command steer
     for the winning candidate's lane, since both are evaluated at the
-    pre-rollout state).
+    pre-rollout state).  What no step changes (the lane walk's columns,
+    the clamped accel times ``dt``, twice the wheelbase) is computed
+    once, before the steps.
     """
     b = x0.shape[0]
     steps = HORIZON_STEPS
+    dt_s = MpcPlanner.dt_s
     tx = np.empty((b, steps))
     ty = np.empty((b, steps))
     tspeed = np.empty((b, steps))
-    accel_c = np.maximum(
-        -model.max_decel_mps2, np.minimum(model.max_accel_mps2, accel)
+    walk = _LaneWalk(lanes)
+    two_wheelbase_m = 2.0 * model.wheelbase_m
+    accel_dt = (
+        np.maximum(-model.max_decel_mps2, np.minimum(model.max_accel_mps2, accel))
+        * dt_s
     )
     x, y, heading, speed = x0, y0, heading0, speed0
     steer0: Optional[np.ndarray] = None
     for k in range(steps):
-        steer = pure_pursuit_steer_batch(
-            lanes, x, y, heading, model.wheelbase_m, lookahead_m=lookahead_m
-        )
+        steer = walk.steer(x, y, heading, two_wheelbase_m, lookahead_m)
         if k == 0:
             steer0 = steer
-        x, y, heading, speed = bicycle_step_batch(
-            x, y, heading, speed, steer, accel_c, model, MpcPlanner.dt_s
+        x, y, heading, speed = _bicycle_step(
+            x, y, heading, speed, steer, accel_dt, model, dt_s
         )
         tx[:, k] = x
         ty[:, k] = y
@@ -458,7 +587,7 @@ def collision_batch(
     near = np.abs(clearance - SAFETY_MARGIN_M) <= _BAND_REL * np.maximum(
         1.0, np.abs(clearance)
     )
-    if np.any(near):
+    if near.any():
         for bi, ki, pi in zip(*np.nonzero(near)):
             if pi < n_obs:
                 ex = float(obs_x[bi, pi])

@@ -21,7 +21,7 @@ the nominal model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +49,7 @@ from ..robustness.health import HealthMonitor, HealthReport
 from ..scene.lanes import LaneMap, straight_corridor
 from ..scene.world import Agent, Obstacle, World
 from ..vehicle.actuator import Actuator, EngineControlUnit
-from ..vehicle.battery import Battery
+from ..vehicle.battery import Battery, drained
 from ..vehicle.dynamics import BicycleModel, ControlCommand, VehicleState
 from .canbus import CanBus
 from .dataflow import SovDataflow, paper_dataflow
@@ -715,55 +715,111 @@ class DriveLoop:
         return request
 
     def finish_step(self) -> None:
-        """Reactive path, command delivery, physics, and bookkeeping."""
-        sov = self.sov
-        cfg = sov.config
-        now = self.now
-        dt = self._dt
-        if cfg.reactive_enabled and now >= self._next_reactive:
-            sov._reactive_tick(now)
-            self._next_reactive += self._reactive_period
-        # Deliver commands whose actuation time has come: the queue is
-        # sorted, so they are its head, in the order they must arrive.
-        pending = sov._pending
-        while pending and pending[0].apply_at_s <= now:
-            sov.ecu.receive(pending.pop(0).command)
-        command = sov.ecu.active_command(now) or _IDLE_COMMAND
-        if self._steering_bias:
-            # An actuator-level steering bias (Sec. III-C lateral
-            # fault) corrupts the command *after* the ECU: neither the
-            # planner nor the reactive path sees it coming.
-            bias = sov.harness.steering_bias_rad(now)
-            if bias != 0.0:
-                command = replace(
-                    command, steer_rad=command.steer_rad + bias
-                )
-        ops = sov.ops
-        previous = sov.state
-        state = sov.model.step(previous, command, dt)
-        sov.state = state
-        sov.world.advance(dt)
-        x, y = state.x_m, state.y_m
-        ops.distance_m += math.hypot(x - previous.x_m, y - previous.y_m)
-        ops.energy_j += self._step_energy_j
-        sov.battery.drain(DRIVE_POWER_W, dt)
-        min_clearance = self._min_clearance
-        for obstacle_x, obstacle_y, radius in self._obstacles:
-            clearance = math.hypot(obstacle_x - x, obstacle_y - y) - radius
-            if clearance < min_clearance:
-                min_clearance = clearance
-            if clearance <= 0.0:
-                ops.collisions += 1
-        self._min_clearance = min_clearance
-        self.now = now + dt
-        self._steps_left -= 1
+        """One physics sub-step: reactive path, command delivery, physics
+        and bookkeeping."""
+        self._reactive_due()
+        self._sub_steps(single=True)
 
     def finish_period(self) -> None:
-        """Run :meth:`finish_step` until the next control tick is due or
-        the drive ends: the sub-steps on which :meth:`begin_step` has
+        """The physics sub-steps up to the next control tick or the end
+        of the drive: the sub-steps on which :meth:`begin_step` has
         nothing to do."""
         while self._steps_left > 0 and self.now < self._next_control:
-            self.finish_step()
+            self._reactive_due()
+            self._sub_steps(single=False)
+
+    def _reactive_due(self) -> None:
+        """The reactive path's tick, when one is due at ``now``."""
+        if self.sov.config.reactive_enabled and self.now >= self._next_reactive:
+            self.sov._reactive_tick(self.now)
+            self._next_reactive += self._reactive_period
+
+    def _sub_steps(self, single: bool) -> None:
+        """Physics sub-steps from ``now``: one if *single*, else until a
+        reactive tick or the next control tick is due or the drive ends.
+
+        The vehicle's pose, speed and time, the distance, energy and
+        charge, the clearance and the collision count stay in locals;
+        ``sov.state``, ``sov.ops``, the battery and the world (agents
+        catch up in one :meth:`~repro.scene.world.World.advance`) are
+        written back on the way out, also when an error propagates, so
+        they read as after the same sub-steps taken one call each.
+        """
+        sov = self.sov
+        ops = sov.ops
+        ecu = sov.ecu
+        pending = sov._pending
+        update = sov.model.update
+        harness = sov.harness if self._steering_bias else None
+        obstacles = self._obstacles
+        step_energy = self._step_energy_j
+        dt = self._dt
+        next_control = self._next_control
+        next_reactive = (
+            self._next_reactive if sov.config.reactive_enabled else math.inf
+        )
+        state = sov.state
+        x, y = state.x_m, state.y_m
+        heading, speed, time_s = state.heading_rad, state.speed_mps, state.time_s
+        distance, energy = ops.distance_m, ops.energy_j
+        collisions = ops.collisions
+        charge = sov.battery.charge_j
+        min_clearance = self._min_clearance
+        now = self.now
+        steps_left = self._steps_left
+        moved = 0
+        try:
+            while True:
+                # Deliver commands whose actuation time has come: the
+                # queue is sorted, so they are its head, in order.
+                while pending and pending[0].apply_at_s <= now:
+                    ecu.receive(pending.pop(0).command)
+                command = ecu.active_command(now) or _IDLE_COMMAND
+                steer = command.steer_rad
+                if harness is not None:
+                    # An actuator-level steering bias (Sec. III-C lateral
+                    # fault) corrupts the command *after* the ECU: neither
+                    # the planner nor the reactive path sees it coming.
+                    bias = harness.steering_bias_rad(now)
+                    if bias != 0.0:
+                        steer = steer + bias
+                x0, y0 = x, y
+                x, y, heading, speed = update(
+                    x, y, heading, speed, steer, command.accel_mps2, dt
+                )
+                time_s += dt
+                moved += 1
+                distance += math.hypot(x - x0, y - y0)
+                energy += step_energy
+                charge = drained(charge, step_energy)
+                for obstacle_x, obstacle_y, radius in obstacles:
+                    clearance = (
+                        math.hypot(obstacle_x - x, obstacle_y - y) - radius
+                    )
+                    if clearance < min_clearance:
+                        min_clearance = clearance
+                    if clearance <= 0.0:
+                        collisions += 1
+                now += dt
+                steps_left -= 1
+                if (
+                    single
+                    or steps_left <= 0
+                    or now >= next_control
+                    or now >= next_reactive
+                ):
+                    break
+        finally:
+            sov.state = VehicleState(x, y, heading, speed, time_s)
+            if moved:
+                sov.world.advance(dt, steps=moved)
+            ops.distance_m = distance
+            ops.energy_j = energy
+            ops.collisions = collisions
+            sov.battery.charge_j = charge
+            self._min_clearance = min_clearance
+            self.now = now
+            self._steps_left = steps_left
 
     def finalize(self) -> DriveResult:
         """Flush end-of-drive state and assemble the :class:`DriveResult`."""

@@ -6,8 +6,10 @@ step of every candidate of every tick.  All of that is invariant for the
 life of a scene, so the batched stepper hoists it into a
 :class:`SceneCache`: one :class:`~repro.runtime.kernels.LaneBatch` with
 a row per lane segment, the row index of each segment id, and the
-planner's candidate-lane list per segment.  The stepper gathers
-candidate rows out of ``lanes`` by fancy indexing.
+planner's candidate-lane list per segment, and each segment's
+candidates as kernel rows (:class:`CandidateRows`).  A planning round
+gathers its rows with one fancy index into the lanes of every scene in
+the round, packed once per set of scenes (:func:`packed_lanes`).
 
 Caches are keyed by a **scene fingerprint** — a value-equality digest of
 every segment's identity, centerline, width, and the lane-change edge
@@ -23,13 +25,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
-from ..runtime.kernels import LaneBatch, lane_batch
+import numpy as np
+
+from ..planning.mpc import MpcPlanner
+from ..runtime.kernels import LaneBatch, lane_batch, pack_lanes
 from .lanes import LaneMap
 
 #: Maximum number of distinct scenes kept alive at once.
 _LRU_CAPACITY = 64
+#: Maximum number of packed lane tables (sets of scenes) kept at once.
+_PACKED_CAPACITY = 16
 
 SceneFingerprint = Tuple
 
@@ -53,8 +60,27 @@ def scene_fingerprint(lane_map: LaneMap) -> SceneFingerprint:
 
 
 @dataclass(frozen=True)
+class CandidateRows:
+    """One segment's planning candidates as kernel rows: each candidate
+    lane once per ``MpcPlanner.accel_candidates`` entry, lane-major, in
+    the scalar planner's enumeration order."""
+
+    #: Each candidate's lane, as a row of :attr:`SceneCache.lanes`.
+    lanes: np.ndarray
+    #: Each candidate's accel.
+    accel: np.ndarray
+    #: Whether each candidate changes lanes.
+    change: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class SceneCache:
-    """Precomputed invariant geometry for one lane map."""
+    """Precomputed invariant geometry for one lane map.
+
+    Compared and hashed by identity: two caches of one fingerprint are
+    interchangeable, but :func:`packed_lanes` keys its tables by the
+    cache objects themselves.
+    """
 
     fingerprint: SceneFingerprint
     #: One row per segment, in map insertion order.
@@ -64,16 +90,36 @@ class SceneCache:
     #: sid -> the planner's candidate list ``[sid] + adjacent`` in
     #: ``lane_changes`` order.
     candidates_of: Dict[str, Tuple[str, ...]]
+    #: sid -> its candidates as kernel rows.
+    rows_of: Dict[str, CandidateRows]
+
+
+def _candidate_rows(
+    sid: str, candidates: Tuple[str, ...], row_of: Dict[str, int]
+) -> CandidateRows:
+    n_accels = len(MpcPlanner.accel_candidates)
+    return CandidateRows(
+        lanes=np.repeat(
+            np.array([row_of[c] for c in candidates], dtype=np.intp), n_accels
+        ),
+        accel=np.tile(np.array(MpcPlanner.accel_candidates), len(candidates)),
+        change=np.repeat(np.array([c != sid for c in candidates]), n_accels),
+    )
 
 
 def _build(lane_map: LaneMap, fingerprint: SceneFingerprint) -> SceneCache:
     sids = tuple(lane_map._segments)
     candidates_of = {sid: (sid, *lane_map.lane_changes(sid)) for sid in sids}
+    row_of = {sid: i for i, sid in enumerate(sids)}
     return SceneCache(
         fingerprint=fingerprint,
         lanes=lane_batch([lane_map._segments[sid] for sid in sids]),
-        row_of={sid: i for i, sid in enumerate(sids)},
+        row_of=row_of,
         candidates_of=candidates_of,
+        rows_of={
+            sid: _candidate_rows(sid, candidates_of[sid], row_of)
+            for sid in sids
+        },
     )
 
 
@@ -100,11 +146,43 @@ def cache_for(lane_map: LaneMap) -> SceneCache:
     return built
 
 
+_packed: "OrderedDict[FrozenSet[SceneCache], Tuple[LaneBatch, Dict[SceneCache, int]]]" = (
+    OrderedDict()
+)
+
+
+def packed_lanes(
+    caches: Iterable[SceneCache],
+) -> Tuple[LaneBatch, Dict[SceneCache, int]]:
+    """The lanes of every cache in *caches* as one table, with each
+    cache's first row in it.
+
+    Built once per set of caches and kept in a small LRU that holds the
+    caches it is keyed by, so a key never outlives its objects.
+    """
+    key = frozenset(caches)
+    packed = _packed.get(key)
+    if packed is not None:
+        _packed.move_to_end(key)
+        return packed
+    offsets: Dict[SceneCache, int] = {}
+    row = 0
+    for cache in key:
+        offsets[cache] = row
+        row += cache.lanes.width
+    packed = (pack_lanes([cache.lanes for cache in offsets]), offsets)
+    _packed[key] = packed
+    while len(_packed) > _PACKED_CAPACITY:
+        _packed.popitem(last=False)
+    return packed
+
+
 def cache_stats() -> Dict[str, int]:
     """Introspection for tests: current LRU occupancy."""
     return {"entries": len(_lru), "capacity": _LRU_CAPACITY}
 
 
 def clear_cache() -> None:
-    """Drop all cached scenes (tests)."""
+    """Drop all cached scenes and packed tables (tests)."""
     _lru.clear()
+    _packed.clear()

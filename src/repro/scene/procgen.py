@@ -202,32 +202,39 @@ class ScriptedWorld(World):
 
     scripts: Dict[int, AgentScript] = field(default_factory=dict)
 
-    def advance(self, dt_s: float) -> None:
+    def advance(self, dt_s: float, steps: int = 1) -> None:
+        """*steps* sub-steps of *dt_s*, each integrating every script
+        over its own interval, as *steps* calls of ``advance(dt_s)``."""
         if dt_s < 0:
             raise ValueError("dt must be non-negative")
-        t0 = self.time_s
-        t1 = t0 + dt_s
+        times = [self.time_s]
+        for _ in range(steps):
+            times.append(times[-1] + dt_s)
         moved: List[Agent] = []
         for agent in self.agents:
             script = self.scripts.get(agent.agent_id)
             if script is None:
-                moved.append(agent.advanced(dt_s))
-            else:
+                moved.append(agent.advanced(dt_s, steps))
+                continue
+            x_m, y_m = agent.x_m, agent.y_m
+            for t0, t1 in zip(times, times[1:]):
                 dx, dy = script.displacement(t0, t1)
-                vx, vy = script.velocity_at(t1)
-                moved.append(
-                    Agent(
-                        agent_id=agent.agent_id,
-                        x_m=agent.x_m + dx,
-                        y_m=agent.y_m + dy,
-                        vx_mps=vx,
-                        vy_mps=vy,
-                        radius_m=agent.radius_m,
-                        kind=agent.kind,
-                    )
+                x_m += dx
+                y_m += dy
+            vx, vy = script.velocity_at(times[-1])
+            moved.append(
+                Agent(
+                    agent_id=agent.agent_id,
+                    x_m=x_m,
+                    y_m=y_m,
+                    vx_mps=vx,
+                    vy_mps=vy,
+                    radius_m=agent.radius_m,
+                    kind=agent.kind,
                 )
+            )
         self.agents = moved
-        self.time_s = t1
+        self.time_s = times[-1]
 
 
 # -- mission layer (Eq. 2) -----------------------------------------------------

@@ -28,6 +28,7 @@ world / lane-map / start-state / duration / fault-schedule fields.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -65,11 +66,21 @@ def register_scene_provider(provider: SceneProvider) -> SceneProvider:
     return provider
 
 
-def _ensure_builtins() -> None:
-    # Importing the built-in scene modules registers their providers as
-    # a side effect; both import this module, so the import happens here
-    # (function scope) rather than at module top to avoid a cycle.
-    from . import corridors, procgen  # noqa: F401
+#: The module whose import registers each built-in provider.
+_BUILTIN_MODULES = {"corridor": "corridors", "procgen": "procgen"}
+
+
+def _ensure_builtins(*providers: str) -> None:
+    """Register the built-in providers named in *providers*, or all of
+    them when none is named, by importing their modules.
+
+    Both modules import this one, so the import happens here (function
+    scope) rather than at module top to avoid a cycle.
+    """
+    for name in providers or _BUILTIN_MODULES:
+        module = _BUILTIN_MODULES.get(name)
+        if module is not None:
+            importlib.import_module(f".{module}", __package__)
 
 
 def split_scene_spec(spec: str) -> Tuple[str, str]:
@@ -99,16 +110,16 @@ def scene_names() -> List[str]:
 
 def is_known_scene(spec: str) -> bool:
     """Whether *spec* (bare or qualified) resolves to a buildable scene."""
-    _ensure_builtins()
     provider_name, scene = split_scene_spec(spec)
+    _ensure_builtins(provider_name)
     provider = _PROVIDERS.get(provider_name)
     return provider is not None and scene in provider.list_scenes()
 
 
 def resolve_scene(spec: str, seed: int = 0):
     """Build the scenario *spec* names at *seed* (same pair -> same scene)."""
-    _ensure_builtins()
     provider_name, scene = split_scene_spec(spec)
+    _ensure_builtins(provider_name)
     try:
         provider = _PROVIDERS[provider_name]
     except KeyError:

@@ -55,12 +55,18 @@ class Agent:
     def position_at(self, dt_s: float) -> Tuple[float, float]:
         return (self.x_m + self.vx_mps * dt_s, self.y_m + self.vy_mps * dt_s)
 
-    def advanced(self, dt_s: float) -> "Agent":
-        """This agent moved on by *dt_s* (:meth:`position_at`'s law)."""
+    def advanced(self, dt_s: float, steps: int = 1) -> "Agent":
+        """This agent moved on by *steps* sub-steps of *dt_s*
+        (:meth:`position_at`'s law, applied once per sub-step)."""
+        x_m, y_m = self.x_m, self.y_m
+        dx, dy = self.vx_mps * dt_s, self.vy_mps * dt_s
+        for _ in range(steps):
+            x_m += dx
+            y_m += dy
         return Agent(
             agent_id=self.agent_id,
-            x_m=self.x_m + self.vx_mps * dt_s,
-            y_m=self.y_m + self.vy_mps * dt_s,
+            x_m=x_m,
+            y_m=y_m,
             vx_mps=self.vx_mps,
             vy_mps=self.vy_mps,
             radius_m=self.radius_m,
@@ -95,12 +101,16 @@ class World:
     landmarks: List[Landmark] = field(default_factory=list)
     time_s: float = 0.0
 
-    def advance(self, dt_s: float) -> None:
-        """Move all agents forward by *dt_s*."""
+    def advance(self, dt_s: float, steps: int = 1) -> None:
+        """Move all agents forward by *steps* sub-steps of *dt_s*: the
+        same floats as *steps* calls of ``advance(dt_s)``."""
         if dt_s < 0:
             raise ValueError("dt must be non-negative")
-        self.agents = [a.advanced(dt_s) for a in self.agents]
-        self.time_s += dt_s
+        self.agents = [a.advanced(dt_s, steps) for a in self.agents]
+        time_s = self.time_s
+        for _ in range(steps):
+            time_s += dt_s
+        self.time_s = time_s
 
     def nearest_obstruction(
         self, x_m: float, y_m: float, heading_rad: float, fov_rad: float = math.pi / 2

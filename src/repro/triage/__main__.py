@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..fleetops.cells import parse_cell_id
-from .campaign import TriageCampaignConfig, run_triage_campaign
-from .corpus import load_corpus, replay_corpus
-from .replay import replay_cell
+# Each handler imports what its subcommand runs: a replay loads no
+# campaign, corpus or shrinking code.
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from ..fleetops.cells import parse_cell_id
+    from .replay import replay_cell
+
     try:
         parse_cell_id(args.cell_id)
     except ValueError as exc:
@@ -36,6 +37,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from .campaign import TriageCampaignConfig, run_triage_campaign
+
     config = TriageCampaignConfig(
         seed=args.seed,
         n_chaos=args.n_chaos,
@@ -53,6 +56,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .corpus import replay_corpus
+
     report = replay_corpus(args.corpus)
     print(
         f"corpus replay: {report.n_pass}/{report.n_records} bit-identical, "
@@ -64,6 +69,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .corpus import load_corpus
+
     state = load_corpus(args.corpus, quarantine=False)
     print(f"{len(state.records)} corpus record(s) in {args.corpus}")
     for record in state.records:

@@ -44,11 +44,7 @@ class Battery:
         if power_w < 0 or duration_s < 0:
             raise ValueError("power and duration must be non-negative")
         energy = power_w * duration_s
-        if energy > self.charge_j + 1e-9:
-            raise BatteryDepletedError(
-                f"requested {energy:.1f} J but only {self.charge_j:.1f} J remain"
-            )
-        self.charge_j = max(0.0, self.charge_j - energy)
+        self.charge_j = drained(self.charge_j, energy)
         return energy
 
     def runtime_at_power_s(self, power_w: float) -> float:
@@ -59,3 +55,20 @@ class Battery:
 
     def recharge(self) -> None:
         self.charge_j = self.capacity_j
+
+
+def drained(charge_j: float, energy_j: float) -> float:
+    """The charge left once *energy_j* is drawn from *charge_j*.
+
+    Raises :class:`BatteryDepletedError` when the draw would take the
+    charge below zero.  :meth:`Battery.drain` and the closed loop's
+    physics sub-steps, which keep the charge in a local, both draw
+    through this.
+    """
+    if energy_j > charge_j + 1e-9:
+        raise BatteryDepletedError(
+            f"requested {energy_j:.1f} J but only {charge_j:.1f} J remain"
+        )
+    left = charge_j - energy_j
+    # A positive charge left is what ``max`` would give back.
+    return left if left > 0.0 else max(0.0, left)

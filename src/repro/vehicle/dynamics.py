@@ -89,32 +89,62 @@ class BicycleModel:
     def step(
         self, state: VehicleState, command: ControlCommand, dt_s: float
     ) -> VehicleState:
-        """Advance the state by *dt_s* under *command*.
-
-        Uses the standard rear-axle kinematic bicycle update.  Speed is
-        clamped to [0, max_speed]; the vehicle never reverses.
-        """
+        """Advance the state by *dt_s* under *command* (:meth:`update`)."""
         if dt_s < 0:
             raise ValueError("dt must be non-negative")
-        # clamp()'s expressions on the two floats, with no command built.
-        steer = max(-self.max_steer_rad, min(self.max_steer_rad, command.steer_rad))
-        accel = max(-self.max_decel_mps2, min(self.max_accel_mps2, command.accel_mps2))
-        speed = state.speed_mps + accel * dt_s
-        speed = max(0.0, min(self.max_speed_mps, speed))
-        # Integrate with the mean of old/new speed for second-order accuracy.
-        avg_speed = 0.5 * (state.speed_mps + speed)
-        heading = state.heading_rad + (
-            avg_speed / self.wheelbase_m * math.tan(steer) * dt_s
+        x, y, heading, speed = self.update(
+            state.x_m,
+            state.y_m,
+            state.heading_rad,
+            state.speed_mps,
+            command.steer_rad,
+            command.accel_mps2,
+            dt_s,
         )
-        x = state.x_m + avg_speed * math.cos(state.heading_rad) * dt_s
-        y = state.y_m + avg_speed * math.sin(state.heading_rad) * dt_s
         return VehicleState(
             x_m=x,
             y_m=y,
-            heading_rad=_wrap_angle(heading),
+            heading_rad=heading,
             speed_mps=speed,
             time_s=state.time_s + dt_s,
         )
+
+    def update(
+        self,
+        x_m: float,
+        y_m: float,
+        heading_rad: float,
+        speed_mps: float,
+        steer_rad: float,
+        accel_mps2: float,
+        dt_s: float,
+    ) -> Tuple[float, float, float, float]:
+        """One kinematic update on floats: ``(x, y, heading, speed)``
+        after *dt_s* under a raw steer and accel command.
+
+        Uses the standard rear-axle kinematic bicycle update.  The
+        command is clamped with :meth:`clamp`'s expressions; speed is
+        clamped to [0, max_speed], so the vehicle never reverses.  A
+        value strictly inside its limits skips its ``max``/``min`` pair,
+        which would give it back as it is.
+        """
+        steer = steer_rad
+        if not -self.max_steer_rad < steer < self.max_steer_rad:
+            steer = max(-self.max_steer_rad, min(self.max_steer_rad, steer))
+        accel = accel_mps2
+        if not -self.max_decel_mps2 < accel < self.max_accel_mps2:
+            accel = max(-self.max_decel_mps2, min(self.max_accel_mps2, accel))
+        speed = speed_mps + accel * dt_s
+        if not 0.0 < speed < self.max_speed_mps:
+            speed = max(0.0, min(self.max_speed_mps, speed))
+        # Integrate with the mean of old/new speed for second-order accuracy.
+        avg_speed = 0.5 * (speed_mps + speed)
+        heading = heading_rad + (
+            avg_speed / self.wheelbase_m * math.tan(steer) * dt_s
+        )
+        x = x_m + avg_speed * math.cos(heading_rad) * dt_s
+        y = y_m + avg_speed * math.sin(heading_rad) * dt_s
+        return x, y, _wrap_angle(heading), speed
 
     def brake_to_stop(
         self, state: VehicleState, dt_s: float = 0.01

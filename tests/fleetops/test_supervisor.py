@@ -151,6 +151,59 @@ class TestPool:
         state = load_journal(journal_path)
         assert sorted(state.results) == sorted(s.cell_id for s in specs)
 
+    def test_first_chunks_go_out_before_the_first_wait(
+        self, specs, serial_identities, monkeypatch
+    ):
+        # A spy on the pool's result queue (the first queue the run
+        # makes) and on each assignment, in this process: the workers
+        # get their first chunks before the supervisor waits on results.
+        from repro.fleetops import supervisor
+
+        events = []
+        get_context = multiprocessing.get_context
+
+        class SpyQueue:
+            def __init__(self, queue):
+                self._queue = queue
+
+            def get(self, *args, **kwargs):
+                events.append("get")
+                return self._queue.get(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._queue, name)
+
+        class SpyContext:
+            def __init__(self, ctx):
+                self._ctx = ctx
+                self._queues = 0
+
+            def Queue(self):
+                queue = self._ctx.Queue()
+                self._queues += 1
+                return SpyQueue(queue) if self._queues == 1 else queue
+
+            def __getattr__(self, name):
+                return getattr(self._ctx, name)
+
+        assign = _WorkerHandle.assign
+
+        def spy_assign(handle, chunk, now):
+            events.append("assign")
+            return assign(handle, chunk, now)
+
+        monkeypatch.setattr(
+            supervisor.mp,
+            "get_context",
+            lambda method=None: SpyContext(get_context(method)),
+        )
+        monkeypatch.setattr(_WorkerHandle, "assign", spy_assign)
+        report = FleetSupervisor(FleetConfig(n_workers=2)).run(specs)
+        assert report.ok, report.summary()
+        assert identities(report) == serial_identities
+        assert events[:2] == ["assign", "assign"]
+        assert "get" in events
+
     def test_workers_drive_chunks_in_lockstep(self, monkeypatch, tmp_path):
         # Sixteen cells on two workers: one chunk of eight each, driven
         # by one drive_batch call, not sixteen calls at N=1.

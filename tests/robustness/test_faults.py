@@ -120,6 +120,23 @@ class TestFaultScenario:
         assert not scenario.active("sensor_dropout", 2.5)
         assert not scenario.active("gps_denial", 1.5)
 
+    def test_absent_kind_and_closed_window_are_inactive(self):
+        scenario = FaultScenario(
+            name="bias",
+            faults=(SteeringBiasFault(0.1, FaultWindow(1.0, 2.0)),),
+        )
+        # A kind the schedule does not hold, at any time.
+        for now_s in (0.0, 1.5, 5.0):
+            assert scenario.active("gps_denial", now_s) == []
+        # A held kind whose window is closed: before, at its end, after.
+        for now_s in (0.5, 2.0, 3.0):
+            assert scenario.active("steering_bias", now_s) == []
+        assert scenario.active("steering_bias", 1.0) == [scenario.faults[0]]
+        harness = FaultHarness(scenario)
+        assert harness.active_kinds(2.5) == ()
+        assert harness.steering_bias_rad(2.5) == 0.0
+        assert harness.injections == {}
+
     def test_requires_a_name(self):
         with pytest.raises(ValueError):
             FaultScenario(name="")

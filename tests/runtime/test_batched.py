@@ -25,7 +25,7 @@ from repro.runtime.batched import (
 )
 from repro.runtime.sov import PlanRequest
 from repro.scene.corridors import make_corridor_sov
-from repro.scene.lanes import straight_corridor
+from repro.scene.lanes import campus_loop, straight_corridor
 from repro.scene.providers import resolve_scene
 from repro.scene.world import Obstacle
 from repro.testing.invariants import drive_fingerprint
@@ -143,6 +143,68 @@ def test_plan_requests_mixed_models_and_lookaheads_match_scalar():
         preds = predictions if i % 3 == 0 else []
         items.append((holders[i % 4], _request(state, predictions=preds)))
     batched = plan_requests(items)
+    for (holder, request), command in zip(items, batched):
+        ref = holder.planner.plan(
+            request.state,
+            predictions=request.predictions,
+            static_obstacles=request.obstacles,
+            now_s=request.now_s,
+        ).command
+        assert command == ref
+
+
+def test_plan_requests_mixes_one_and_many_segment_lanes(monkeypatch):
+    """One round over a straight corridor (one-segment lanes, two
+    candidate lanes) and ``campus_loop`` (eight-segment arcs, one
+    candidate lane): one rollout over both scenes' lanes, padded to the
+    wider, and the scalar planner's commands."""
+    rng = np.random.default_rng(23)
+    straight = _sov_on(straight_corridor(length_m=150.0, n_lanes=2))
+    loop = _sov_on(campus_loop())
+    predictions = predict_constant_velocity(
+        _objects(), horizon_s=MpcPlanner.horizon_s, dt_s=MpcPlanner.dt_s
+    )
+    items = []
+    for i in range(16):
+        if i % 2:
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            radius = 40.0 + float(rng.uniform(-0.8, 0.8))
+            x, y = radius * math.cos(theta), radius * math.sin(theta)
+            heading = theta + math.pi / 2 + float(rng.uniform(-0.3, 0.3))
+            holder = loop
+            ahead = theta + 0.2
+            obstacles = [
+                Obstacle(40.0 * math.cos(ahead), 40.0 * math.sin(ahead), 0.4)
+            ]
+        else:
+            x = float(rng.uniform(0.0, 100.0))
+            y = float(rng.uniform(-1.0, 4.0))
+            heading = float(rng.uniform(-0.4, 0.4))
+            holder = straight
+            obstacles = [Obstacle(x + 12.0, 0.0, 0.5)]
+        assert holder.planner.lane_map.locate(x, y) is not None
+        state = VehicleState(
+            x_m=x,
+            y_m=y,
+            heading_rad=heading,
+            speed_mps=float(rng.uniform(0.0, 6.0)),
+        )
+        preds = predictions if i % 3 == 0 else []
+        items.append(
+            (holder, _request(state, predictions=preds, obstacles=obstacles))
+        )
+    widths = []
+    rollout_batch = kernels.rollout_batch
+
+    def spy(lanes, *args):
+        widths.append((lanes.width, lanes.ax.shape[1]))
+        return rollout_batch(lanes, *args)
+
+    monkeypatch.setattr(kernels, "rollout_batch", spy)
+    batched = plan_requests(items)
+    # Eight corridor requests of 2 lanes and eight loop requests of 1,
+    # six accels each, every lane padded to the arcs' eight segments.
+    assert widths == [(8 * 12 + 8 * 6, 8)]
     for (holder, request), command in zip(items, batched):
         ref = holder.planner.plan(
             request.state,

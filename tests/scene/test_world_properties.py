@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.scene.corridors import (
     SPAWN_CLEAR_RADIUS_M,
@@ -100,3 +100,70 @@ class TestSpawnClearance:
         scenario = generate_corridor(name, seed=0)
         for agent in scenario.world.agents:
             assert math.hypot(agent.x_m, agent.y_m) > agent.radius_m
+
+
+# -- advancing by k sub-steps in one call ------------------------------------
+
+speeds = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+sub_steps = st.integers(1, 25)
+sub_step_dts = st.sampled_from([0.005, 0.02, 0.1, 0.0])
+
+
+def _agent_floats(world):
+    return [
+        (a.agent_id, a.x_m, a.y_m, a.vx_mps, a.vy_mps, a.radius_m, a.kind)
+        for a in world.agents
+    ]
+
+
+def _one_call_equals_k_calls(make_world, dt, steps):
+    once, stepped = make_world(), make_world()
+    once.advance(dt, steps=steps)
+    for _ in range(steps):
+        stepped.advance(dt)
+    assert _agent_floats(once) == _agent_floats(stepped)
+    assert once.time_s == stepped.time_s
+
+
+@given(
+    agents=st.lists(st.tuples(coords, coords, speeds, speeds), max_size=4),
+    start=st.floats(0.0, 100.0),
+    dt=sub_step_dts,
+    steps=sub_steps,
+)
+def test_world_advance_by_steps_is_bit_identical(agents, start, dt, steps):
+    from repro.scene.world import Agent
+
+    def make_world():
+        return World(
+            agents=[
+                Agent(agent_id=i, x_m=x, y_m=y, vx_mps=vx, vy_mps=vy)
+                for i, (x, y, vx, vy) in enumerate(agents)
+            ],
+            time_s=start,
+        )
+
+    _one_call_equals_k_calls(make_world, dt, steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, 10_000),
+    warm=st.integers(0, 400),
+    dt=sub_step_dts,
+    steps=sub_steps,
+)
+def test_scripted_world_advance_by_steps_is_bit_identical(
+    seed, index, warm, dt, steps
+):
+    """Scripted agents cross phase boundaries inside the k sub-steps."""
+    from repro.scene.procgen import DEFAULT_SPACE
+
+    def make_world():
+        world = DEFAULT_SPACE.sample(seed, index).world
+        for _ in range(warm):
+            world.advance(0.005)
+        return world
+
+    _one_call_equals_k_calls(make_world, dt, steps)

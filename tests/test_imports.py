@@ -98,10 +98,35 @@ class TestDrivePathImports:
         loaded = [m for m in modules if m.split(".")[0] == "repro"]
         assert len(loaded) <= REPRO_MODULE_BUDGET, loaded
 
+    def test_no_procgen(self, modules):
+        # Corridor scenes resolve without the procedural generator.
+        assert "repro.scene.procgen" not in modules
+
     def test_bare_import_loads_no_subpackage(self):
         modules = _fresh_modules("import repro")
         loaded = [m for m in modules if m.split(".")[0] == "repro"]
         assert loaded == ["repro", "repro._lazy"]
+
+
+#: ``python -m repro.triage replay <id>``, run in this interpreter.
+_TRIAGE_REPLAY = """
+import runpy, sys
+sys.argv = ["repro.triage", "replay", "chaos:drill-lane:0:0:raw"]
+try:
+    runpy.run_module("repro.triage", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    assert exit.code == 0, exit.code
+"""
+
+
+def test_triage_replay_loads_no_campaign_code():
+    modules = _fresh_modules(_TRIAGE_REPLAY)
+    assert "repro.triage.replay" in modules
+    unused = [
+        f"repro.triage.{name}"
+        for name in ("campaign", "corpus", "fingerprint", "flakes", "shrink")
+    ]
+    assert not [m for m in unused if m in modules]
 
 
 def _lazy_table(package: str) -> dict:
